@@ -216,7 +216,7 @@ int Run() {
   records.push_back({"soa_over_portable", soa_over_portable, "x"});
 
   // ---- (2) BatchTopK scaling on the LinearScan engine ------------------
-  // A graph with entities but no edges: the skip predicate only rejects
+  // A graph with entities but no edges: the E'-only exclusion holds only
   // the anchor, so every query scans all n entities — the pure
   // candidate-evaluation throughput the batching layer targets.
   kg::KnowledgeGraph graph;

@@ -5,6 +5,7 @@
 
 #include "embedding/vector_ops.h"
 #include "query/batch_executor.h"
+#include "query/exclusion.h"
 #include "query/prob_model.h"
 #include "util/string_util.h"
 
@@ -165,7 +166,7 @@ query::TopKResult VirtualKnowledgeGraph::TopK(const data::Query& query,
   // Merge overlay entities (whose S2 index position may be stale) by
   // exact S1 distance; existing hits keep their (already exact)
   // distances. Probabilities are re-calibrated afterwards.
-  auto skip = query::MakeSkipFn(*graph_, query);
+  const query::Exclusion exclusion(*graph_, query);
   std::vector<float> q =
       store_.QueryCenter(query.anchor, query.relation, query.direction);
   std::vector<std::pair<double, kg::EntityId>> merged;
@@ -174,7 +175,7 @@ query::TopKResult VirtualKnowledgeGraph::TopK(const data::Query& query,
     merged.emplace_back(hit.distance, hit.entity);
   }
   for (kg::EntityId e : overlay_) {
-    if (skip(e)) continue;
+    if (exclusion.Contains(e)) continue;
     merged.emplace_back(embedding::L2Distance(store_.Entity(e), q), e);
   }
   std::sort(merged.begin(), merged.end());
@@ -233,7 +234,7 @@ VirtualKnowledgeGraph::Neighborhood(const data::Query& query,
   query::ProbabilityModel pm(top1.hits[0].distance);
   const double r_tau = pm.RadiusForThreshold(prob_threshold);
 
-  auto skip = query::MakeSkipFn(*graph_, query);
+  const query::Exclusion exclusion(*graph_, query);
   std::vector<float> q_s1 =
       store_.QueryCenter(query.anchor, query.relation, query.direction);
   index::Point q_s2 = index::Point::FromSpan(jl_->Apply(q_s1));
@@ -242,7 +243,7 @@ VirtualKnowledgeGraph::Neighborhood(const data::Query& query,
 
   std::vector<query::TopKHit> hits;
   auto consider = [&](kg::EntityId e) {
-    if (skip(e)) return;
+    if (exclusion.Contains(e)) return;
     double dist = embedding::L2Distance(store_.Entity(e), q_s1);
     if (dist > r_tau) return;
     hits.push_back({e, dist, pm.ProbabilityAt(dist)});

@@ -33,7 +33,10 @@ struct IndexStats {
   int height = 0;
 
   // Crack-contention counters (concurrent serving; DESIGN.md §6d/§6f).
-  size_t crack_publishes = 0;   // cracks that mutated and published
+  // Crack calls that took the crack mutex and ran, including ones that
+  // changed nothing and published no new version; crack_generation()
+  // counts actual version publications.
+  size_t crack_publishes = 0;
   size_t coalesced_cracks = 0;  // skipped: covered by a published crack
   size_t abandoned_cracks = 0;  // gave up: stop-token or failpoint
   size_t crack_waits = 0;       // crack-mutex acquisitions that waited

@@ -7,11 +7,25 @@
 
 namespace vkg::kg {
 
+namespace {
+
+// The group of relation `r` in an entity's relation-sorted groups, or
+// the position where it would be inserted.
+template <typename Groups>
+auto FindGroup(Groups& groups, RelationId r) {
+  return std::lower_bound(
+      groups.begin(), groups.end(), r,
+      [](const auto& group, RelationId rel) { return group.relation < rel; });
+}
+
+}  // namespace
+
 EntityId KnowledgeGraph::AddEntity(std::string_view name,
                                    std::string_view type) {
   EntityId id = entity_names_.Intern(name);
   if (id == entity_types_.size()) {
     entity_types_.push_back(type_names_.Intern(type));
+    adjacency_.emplace_back();
     attributes_.Resize(entity_types_.size());
   }
   return id;
@@ -25,7 +39,51 @@ bool KnowledgeGraph::AddEdge(EntityId h, RelationId r, EntityId t) {
   VKG_DCHECK(h < num_entities());
   VKG_DCHECK(t < num_entities());
   VKG_DCHECK(r < num_relations());
-  return triples_.Add({h, r, t});
+  if (!triples_.Add({h, r, t})) return false;
+  InsertNeighbor(adjacency_[h].out, r, t);
+  InsertNeighbor(adjacency_[t].in, r, h);
+  return true;
+}
+
+std::vector<Triple> KnowledgeGraph::MaskRandomEdges(size_t count,
+                                                    util::Rng& rng) {
+  std::vector<Triple> removed = triples_.MaskRandom(count, rng);
+  for (const Triple& t : removed) {
+    EraseNeighbor(adjacency_[t.head].out, t.relation, t.tail);
+    EraseNeighbor(adjacency_[t.tail].in, t.relation, t.head);
+  }
+  return removed;
+}
+
+std::span<const EntityId> KnowledgeGraph::Neighbors(
+    EntityId e, RelationId r, Direction direction) const {
+  if (e >= adjacency_.size()) return {};
+  const std::vector<NeighborGroup>& groups =
+      direction == Direction::kTail ? adjacency_[e].out : adjacency_[e].in;
+  auto it = FindGroup(groups, r);
+  if (it == groups.end() || it->relation != r) return {};
+  return it->ids;
+}
+
+void KnowledgeGraph::InsertNeighbor(std::vector<NeighborGroup>& groups,
+                                    RelationId r, EntityId neighbor) {
+  auto it = FindGroup(groups, r);
+  if (it == groups.end() || it->relation != r) {
+    it = groups.insert(it, NeighborGroup{r, {}});
+  }
+  std::vector<EntityId>& ids = it->ids;
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), neighbor), neighbor);
+}
+
+void KnowledgeGraph::EraseNeighbor(std::vector<NeighborGroup>& groups,
+                                   RelationId r, EntityId neighbor) {
+  auto it = FindGroup(groups, r);
+  VKG_DCHECK(it != groups.end() && it->relation == r);
+  std::vector<EntityId>& ids = it->ids;
+  auto pos = std::lower_bound(ids.begin(), ids.end(), neighbor);
+  VKG_DCHECK(pos != ids.end() && *pos == neighbor);
+  ids.erase(pos);
+  if (ids.empty()) groups.erase(it);
 }
 
 EntityId KnowledgeGraph::AddEntities(size_t n, std::string_view type) {
@@ -39,6 +97,7 @@ EntityId KnowledgeGraph::AddEntities(size_t n, std::string_view type) {
     VKG_CHECK(id == entity_types_.size());
     entity_types_.push_back(type_id);
   }
+  adjacency_.resize(entity_types_.size());
   attributes_.Resize(entity_types_.size());
   return first;
 }
@@ -78,10 +137,19 @@ GraphStats KnowledgeGraph::Stats() const {
 }
 
 size_t KnowledgeGraph::MemoryBytes() const {
+  size_t adjacency_bytes = adjacency_.capacity() * sizeof(Adjacency);
+  for (const Adjacency& a : adjacency_) {
+    for (const auto* groups : {&a.out, &a.in}) {
+      adjacency_bytes += groups->capacity() * sizeof(NeighborGroup);
+      for (const NeighborGroup& g : *groups) {
+        adjacency_bytes += g.ids.capacity() * sizeof(EntityId);
+      }
+    }
+  }
   return entity_names_.MemoryBytes() + relation_names_.MemoryBytes() +
          type_names_.MemoryBytes() +
          entity_types_.capacity() * sizeof(uint32_t) +
-         triples_.MemoryBytes() + attributes_.MemoryBytes();
+         triples_.MemoryBytes() + adjacency_bytes + attributes_.MemoryBytes();
 }
 
 }  // namespace vkg::kg

@@ -1,6 +1,7 @@
 #ifndef VKG_KG_GRAPH_H_
 #define VKG_KG_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,12 @@ struct GraphStats {
 /// Entities and relationship types are interned strings with dense ids.
 /// Entities optionally carry a type (e.g., "user", "movie") and numeric
 /// attributes used by aggregate queries.
+///
+/// Besides the triple set (membership, HasEdge) the graph keeps, per
+/// entity, its known out- and in-neighbours grouped by relation, each
+/// group sorted by id. Both are updated by the same two mutators,
+/// AddEdge and MaskRandomEdges, so Neighbors() never disagrees with
+/// HasEdge().
 class KnowledgeGraph {
  public:
   KnowledgeGraph() = default;
@@ -64,6 +71,13 @@ class KnowledgeGraph {
     return triples_.Contains({h, r, t});
   }
 
+  /// Known neighbours of `e` under `r` in E, ascending by id: the tails t
+  /// with (e, r, t) for Direction::kTail, the heads h with (h, r, e) for
+  /// Direction::kHead. Empty when there are none (or `e` / `r` is out of
+  /// range). Valid until the next AddEdge / MaskRandomEdges.
+  std::span<const EntityId> Neighbors(EntityId e, RelationId r,
+                                      Direction direction) const;
+
   /// Type label id of entity `e` (kInvalidEntity-safe: requires valid id).
   uint32_t EntityType(EntityId e) const { return entity_types_[e]; }
   const std::string& EntityTypeName(EntityId e) const {
@@ -83,18 +97,34 @@ class KnowledgeGraph {
   GraphStats Stats() const;
 
   /// Removes `count` random edges and returns them (held-out evaluation).
-  std::vector<Triple> MaskRandomEdges(size_t count, util::Rng& rng) {
-    return triples_.MaskRandom(count, rng);
-  }
+  std::vector<Triple> MaskRandomEdges(size_t count, util::Rng& rng);
 
   size_t MemoryBytes() const;
 
  private:
+  // The known neighbours of one entity under one relation, ascending.
+  struct NeighborGroup {
+    RelationId relation;
+    std::vector<EntityId> ids;
+  };
+  // One entity's groups, ascending by relation: `out` holds tails, `in`
+  // holds heads.
+  struct Adjacency {
+    std::vector<NeighborGroup> out;
+    std::vector<NeighborGroup> in;
+  };
+
+  static void InsertNeighbor(std::vector<NeighborGroup>& groups,
+                             RelationId r, EntityId neighbor);
+  static void EraseNeighbor(std::vector<NeighborGroup>& groups, RelationId r,
+                            EntityId neighbor);
+
   Dictionary entity_names_;
   Dictionary relation_names_;
   Dictionary type_names_;
   std::vector<uint32_t> entity_types_;
   TripleStore triples_;
+  std::vector<Adjacency> adjacency_;  // indexed by EntityId
   AttributeTable attributes_;
 };
 

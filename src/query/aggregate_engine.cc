@@ -8,6 +8,7 @@
 #include "embedding/batch_kernels.h"
 #include "embedding/vector_ops.h"
 #include "obs/metrics.h"
+#include "query/exclusion.h"
 #include "query/prob_model.h"
 #include "transform/jl_bounds.h"
 #include "query/topk_engine.h"
@@ -74,12 +75,27 @@ AggregateEngine::AggregateEngine(const kg::KnowledgeGraph* graph,
 
 namespace {
 
-// Fetches the attribute value of `id`, or NaN for COUNT (value unused).
-double AttributeValue(const kg::KnowledgeGraph& graph, AggKind kind,
-                      const std::string& attribute, uint32_t id) {
-  if (kind == AggKind::kCount) return 1.0;
-  return graph.attributes().Value(attribute, id);
-}
+// The aggregated value of each record, with the attribute column
+// resolved once per query instead of by name per record: 1 for COUNT,
+// else the column's value, NaN where the entity has none.
+class RecordValues {
+ public:
+  // `spec` must have passed ValidateSpec (the column exists).
+  RecordValues(const kg::KnowledgeGraph& graph, const AggregateSpec& spec) {
+    if (spec.kind != AggKind::kCount) {
+      column_ = *graph.attributes().Get(spec.attribute);
+    }
+  }
+
+  double operator()(uint32_t id) const {
+    if (column_ == nullptr) return 1.0;
+    if (id >= column_->size()) return std::numeric_limits<double>::quiet_NaN();
+    return (*column_)[id];
+  }
+
+ private:
+  const std::vector<double>* column_ = nullptr;  // null for COUNT
+};
 
 util::Status ValidateSpec(const kg::KnowledgeGraph& graph,
                           const AggregateSpec& spec) {
@@ -105,7 +121,6 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
   span.SetAttr("kind", AggKindName(spec.kind));
   AggMetrics::Get().queries.Inc();
   util::QueryControl& control = ctx.control();
-  const auto skip = MakeSkipFn(*graph_, spec.query);
 
   // d_min via a top-1 probe (shares Algorithm 3 machinery; no cracking —
   // the aggregate's own final region cracks below). The probe shares
@@ -127,6 +142,12 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
   }
   util::Arena& arena = ctx.arena();
   arena.Reset();  // reclaim the probe's scratch
+  // A fresh stamp with the E'-only exclusions stamped: contour elements
+  // are disjoint, so the stamp read is the whole per-record skip test.
+  const auto [visit_stamp, stamp] = ctx.BeginQuery(store_->num_entities());
+  const Exclusion exclusion(*graph_, spec.query);
+  exclusion.StampInto({visit_stamp, store_->num_entities()}, stamp);
+  const RecordValues value_of(*graph_, spec);
   std::span<float> q_s1 = arena.AllocateSpan<float>(store_->dim());
   store_->QueryCenterInto(spec.query.anchor, spec.query.relation,
                           spec.query.direction, q_s1);
@@ -255,11 +276,11 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
         break;
       }
       ++processed;
-      if (skip(id)) continue;
+      if (visit_stamp[id] == stamp) continue;
       control.AddPoints(1);
       double dist = embedding::L2Distance(store_->Entity(id), q_s1);
       if (dist > r_tau) continue;  // outside the ball in S1
-      double value = AttributeValue(*graph_, spec.kind, spec.attribute, id);
+      double value = value_of(id);
       if (spec.kind != AggKind::kCount && std::isnan(value)) continue;
       accessed.push_back({id, dist, pm.ProbabilityAt(dist)});
     }
@@ -308,7 +329,8 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
 util::Result<AggregateResult> AggregateEngine::ExactAggregate(
     const AggregateSpec& spec) const {
   VKG_RETURN_IF_ERROR(ValidateSpec(*graph_, spec));
-  const auto skip = MakeSkipFn(*graph_, spec.query);
+  const Exclusion exclusion(*graph_, spec.query);
+  const RecordValues value_of(*graph_, spec);
   std::vector<float> q_s1 = store_->QueryCenter(
       spec.query.anchor, spec.query.relation, spec.query.direction);
 
@@ -320,7 +342,7 @@ util::Result<AggregateResult> AggregateEngine::ExactAggregate(
                                     d2.data());
   double d_min = -1.0;
   for (uint32_t e = 0; e < n; ++e) {
-    if (skip(e)) continue;
+    if (exclusion.Contains(e)) continue;
     double d = std::sqrt(d2[e]);
     if (d_min < 0 || d < d_min) d_min = d;
   }
@@ -330,10 +352,10 @@ util::Result<AggregateResult> AggregateEngine::ExactAggregate(
 
   std::vector<BallPoint> accessed;
   for (uint32_t e = 0; e < n; ++e) {
-    if (skip(e)) continue;
+    if (exclusion.Contains(e)) continue;
     double d = std::sqrt(d2[e]);
     if (d > r_tau) continue;
-    double value = AttributeValue(*graph_, spec.kind, spec.attribute, e);
+    double value = value_of(e);
     if (spec.kind != AggKind::kCount && std::isnan(value)) continue;
     accessed.push_back({e, d, pm.ProbabilityAt(d)});
   }
@@ -363,8 +385,9 @@ util::Result<AggregateResult> AggregateEngine::Estimate(
   result.sample_values.reserve(accessed.size());
   std::vector<std::pair<double, double>> value_prob;  // (v_i, p_i)
   value_prob.reserve(accessed.size());
+  const RecordValues value_of(*graph_, spec);
   for (const BallPoint& bp : accessed) {
-    double v = AttributeValue(*graph_, spec.kind, spec.attribute, bp.id);
+    double v = value_of(bp.id);
     result.sample_values.push_back(v);
     value_prob.emplace_back(v, bp.prob);
   }

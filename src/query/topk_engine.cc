@@ -74,20 +74,6 @@ util::Status ValidateQuery(const TopKEngine& engine,
   return util::Status::OK();
 }
 
-std::function<bool(uint32_t)> MakeSkipFn(const kg::KnowledgeGraph& graph,
-                                         const data::Query& query) {
-  if (query.direction == kg::Direction::kTail) {
-    return [&graph, query](uint32_t candidate) {
-      return candidate == query.anchor ||
-             graph.HasEdge(query.anchor, query.relation, candidate);
-    };
-  }
-  return [&graph, query](uint32_t candidate) {
-    return candidate == query.anchor ||
-           graph.HasEdge(candidate, query.relation, query.anchor);
-  };
-}
-
 // ---------------------------------------------------------------------------
 // LinearTopKEngine
 // ---------------------------------------------------------------------------
@@ -101,10 +87,10 @@ TopKResult LinearTopKEngine::TopKQuery(const data::Query& query, size_t k,
   arena.Reset();
   std::span<float> q = arena.AllocateSpan<float>(store_->dim());
   store_->QueryCenterInto(query.anchor, query.relation, query.direction, q);
-  const auto skip = MakeSkipFn(*graph_, query);
+  const Exclusion exclusion(*graph_, query);
+  auto excluded = [&](uint32_t e) { return exclusion.Contains(e); };
   const size_t points_before = control.points();
-  auto pairs = scan_.TopK(
-      q, k, [&skip](uint32_t e) { return skip(e); }, &control);
+  auto pairs = scan_.TopK(q, k, excluded, &control);
   TopKResult result =
       FinalizeHits(std::move(pairs), control.points() - points_before);
   if (control.stopped()) {
@@ -143,7 +129,7 @@ RTreeTopKEngine::RTreeTopKEngine(const kg::KnowledgeGraph* graph,
 
 void RTreeTopKEngine::SeedCandidates(
     const index::Node& element, const index::Point& q_s2, size_t k,
-    const std::function<bool(uint32_t)>& skip,
+    const uint32_t* visit_stamp, uint32_t stamp,
     util::ArenaVector<uint32_t>& seeds) const {
   // Traverse the element's points outward from q along sort order 0
   // (increasing |coord0 - q0|), as described for line 2 of Algorithm 3.
@@ -171,7 +157,7 @@ void RTreeTopKEngine::SeedCandidates(
                   (points.coord(ids[right], 0) - q0);
     }
     uint32_t id = take_left ? ids[--left] : ids[right++];
-    if (!skip(id)) seeds.push_back(id);
+    if (visit_stamp[id] != stamp) seeds.push_back(id);
   }
 }
 
@@ -184,7 +170,6 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   util::QueryControl& control = ctx.control();
   util::Arena& arena = ctx.arena();
   arena.Reset();
-  const std::function<bool(uint32_t)> skip = MakeSkipFn(*graph_, query);
   std::span<float> q_s1 = arena.AllocateSpan<float>(store_->dim());
   store_->QueryCenterInto(query.anchor, query.relation, query.direction, q_s1);
   index::Point q_s2 = [&] {
@@ -198,6 +183,10 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   // May flag the query stopped (scratch budget): the seeds below are
   // still examined, so even then the answer is non-empty.
   const auto [visit_stamp, stamp] = ctx.BeginQuery(store_->num_entities());
+  // The E'-only exclusions are stamped as already visited, so the seed
+  // walk and the re-rank filter test one stamp per candidate.
+  const Exclusion exclusion(*graph_, query);
+  exclusion.StampInto({visit_stamp, store_->num_entities()}, stamp);
 
   size_t candidates = 0;
   // Max-heap of the best k (S1 squared distance, id); its backing
@@ -210,7 +199,7 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   constexpr size_t kExamineBlock = 256;
   std::span<uint32_t> cand = arena.AllocateSpan<uint32_t>(kExamineBlock);
   std::span<double> dist = arena.AllocateSpan<double>(kExamineBlock);
-  // Exact S1 re-rank of a candidate batch: filter already-seen/skipped
+  // Exact S1 re-rank of a candidate batch: filter already-seen/excluded
   // ids, evaluate the survivors through the gather kernel, then fold
   // them into the heap in order (identical results to one-at-a-time).
   // Candidates are processed in blocks so a deadline / budget trip is
@@ -225,7 +214,6 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
       for (uint32_t id : ids.subspan(base, len)) {
         if (visit_stamp[id] == stamp) continue;
         visit_stamp[id] = stamp;
-        if (skip(id)) continue;
         cand[cnt++] = id;
       }
       embedding::GatherL2DistanceSquared(q_s1, *store_, cand.first(cnt),
@@ -276,7 +264,7 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
       obs::Span seed_span(trace, "seed");
       util::ArenaVector<uint32_t> seeds{
           util::ArenaAllocator<uint32_t>(&arena)};
-      SeedCandidates(*element, q_s2, k, skip, seeds);
+      SeedCandidates(*element, q_s2, k, visit_stamp, stamp, seeds);
       seed_span.SetAttr("seeds", static_cast<double>(seeds.size()));
       examine({seeds.data(), seeds.size()}, /*enforce=*/false);
     }
@@ -306,7 +294,7 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
     while (!frontier.empty()) {
       ++frontier_pops;
       // An empty heap means nothing has been answered yet (the seed
-      // element held only skipped entities): keep examining unchecked
+      // element held only excluded entities): keep examining unchecked
       // until one candidate exists, so even an already-expired query
       // returns a non-empty best-effort answer.
       const bool must_progress = best.empty();
@@ -384,7 +372,9 @@ TopKResult PhTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
                                        QueryContext& /*ctx*/) const {
   std::vector<float> q =
       store_->QueryCenter(query.anchor, query.relation, query.direction);
-  auto pairs = tree_->TopK(q, k, MakeSkipFn(*graph_, query));
+  const Exclusion exclusion(*graph_, query);
+  auto excluded = [&](uint32_t e) { return exclusion.Contains(e); };
+  auto pairs = tree_->TopK(q, k, excluded);
   return FinalizeHits(std::move(pairs), store_->num_entities());
 }
 
@@ -424,7 +414,9 @@ TopKResult H2AlshTopKEngine::TopKQuery(const data::Query& query, size_t k,
   double qnorm2 = embedding::Dot(q, q);
 
   size_t examined = 0;
-  auto scored = alsh_->TopK(qv, k, MakeSkipFn(*graph_, query), &examined);
+  const Exclusion exclusion(*graph_, query);
+  auto excluded = [&](uint32_t e) { return exclusion.Contains(e); };
+  auto scored = alsh_->TopK(qv, k, excluded, &examined);
   std::vector<std::pair<double, uint32_t>> pairs;
   pairs.reserve(scored.size());
   for (const auto& [ip, id] : scored) {

@@ -1,7 +1,6 @@
 #ifndef VKG_QUERY_TOPK_ENGINE_H_
 #define VKG_QUERY_TOPK_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "index/linear_scan.h"
 #include "index/phtree.h"
 #include "kg/graph.h"
+#include "query/exclusion.h"
 #include "query/query_context.h"
 #include "transform/jl_transform.h"
 #include "util/status.h"
@@ -34,12 +34,6 @@ struct TopKResult {
   /// under a deadline / cancellation / resource budget.
   ResultQuality quality;
 };
-
-/// Skip predicate of the E'-only query semantics (Section II): the
-/// anchor itself and entities already connected to it by `relation` in E
-/// are not answers.
-std::function<bool(uint32_t)> MakeSkipFn(const kg::KnowledgeGraph& graph,
-                                         const data::Query& query);
 
 /// Interface implemented by every compared method.
 ///
@@ -134,10 +128,11 @@ class RTreeTopKEngine : public TopKEngine {
 
  private:
   // Seeds N_q: up to k entities from the contour element containing q,
-  // walked outward along one sort order (line 2 of Algorithm 3).
-  // Appends into `seeds` (arena-backed per-query scratch).
+  // walked outward along one sort order (line 2 of Algorithm 3), that
+  // are not yet stamped (the exclusions are). Appends into `seeds`
+  // (arena-backed per-query scratch).
   void SeedCandidates(const index::Node& element, const index::Point& q_s2,
-                      size_t k, const std::function<bool(uint32_t)>& skip,
+                      size_t k, const uint32_t* visit_stamp, uint32_t stamp,
                       util::ArenaVector<uint32_t>& seeds) const;
 
   const kg::KnowledgeGraph* graph_;

@@ -213,12 +213,12 @@ TEST_F(ConcurrentCrackingTest, DeadlineStormDegradesInsteadOfStalling) {
             q.anchor, q.relation, q.direction);
         index::Point q_s2 =
             index::Point::FromSpan(shared.jl.Apply(q_s1));
-        auto skip = MakeSkipFn(ds_->graph, q);
+        const Exclusion exclusion(ds_->graph, q);
         const double kth = r.hits.size() < k
                                ? std::numeric_limits<double>::infinity()
                                : r.hits.back().distance;
         for (uint32_t e = 0; e < ds_->embeddings.num_entities(); ++e) {
-          if (skip(e)) continue;
+          if (exclusion.Contains(e)) continue;
           double s2 =
               std::sqrt(shared.points.DistSquared(e, q_s2.AsSpan()));
           if (s2 >= certified - 1e-6) continue;

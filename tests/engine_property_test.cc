@@ -230,12 +230,12 @@ TEST(DegradedDifferentialTest, DegradedResultsAreCorrectPrefixes) {
     std::vector<float> q_s1 =
         ds.embeddings.QueryCenter(q.anchor, q.relation, q.direction);
     index::Point q_s2 = index::Point::FromSpan(jl.Apply(q_s1));
-    auto skip = MakeSkipFn(ds.graph, q);
+    const Exclusion exclusion(ds.graph, q);
     const double kth = r.hits.size() < k
                            ? std::numeric_limits<double>::infinity()
                            : r.hits.back().distance;
     for (uint32_t e = 0; e < ds.embeddings.num_entities(); ++e) {
-      if (skip(e)) continue;
+      if (exclusion.Contains(e)) continue;
       double s2 = std::sqrt(points.DistSquared(e, q_s2.AsSpan()));
       if (s2 >= certified - 1e-6) continue;
       double s1 = embedding::L2Distance(ds.embeddings.Entity(e), q_s1);

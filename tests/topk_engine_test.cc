@@ -6,6 +6,7 @@
 
 #include "data/movielens_gen.h"
 #include "data/workload.h"
+#include "query/aggregate_engine.h"
 #include "query/metrics.h"
 #include "query/topk_engine.h"
 #include "transform/jl_transform.h"
@@ -37,18 +38,92 @@ class TopKEngineTest : public ::testing::Test {
 data::Dataset* TopKEngineTest::ds_ = nullptr;
 std::vector<data::Query>* TopKEngineTest::workload_ = nullptr;
 
-TEST_F(TopKEngineTest, SkipFnExcludesAnchorAndNeighbors) {
+TEST_F(TopKEngineTest, ExclusionHoldsAnchorAndNeighbors) {
   const data::Query& q = (*workload_)[0];
-  auto skip = MakeSkipFn(ds_->graph, q);
-  EXPECT_TRUE(skip(q.anchor));
+  const Exclusion exclusion(ds_->graph, q);
+  EXPECT_TRUE(exclusion.Contains(q.anchor));
   for (const kg::Triple& t : ds_->graph.triples().triples()) {
     if (t.relation != q.relation) continue;
     if (q.direction == kg::Direction::kTail && t.head == q.anchor) {
-      EXPECT_TRUE(skip(t.tail));
+      EXPECT_TRUE(exclusion.Contains(t.tail));
     }
     if (q.direction == kg::Direction::kHead && t.tail == q.anchor) {
-      EXPECT_TRUE(skip(t.head));
+      EXPECT_TRUE(exclusion.Contains(t.head));
     }
+  }
+}
+
+// A hub anchor whose known neighbours fill the whole seed element (and
+// include the exact top-k): the seed walk yields nothing, so the R-tree
+// engine must make progress from the frontier alone. Every engine still
+// answers k entities, none of them the anchor or already linked to it in
+// E.
+TEST(TopKEngineHubTest, SeedElementFullOfKnownNeighbors) {
+  data::MovieLensConfig config;
+  config.num_users = 600;
+  config.num_movies = 300;
+  config.seed = 33;
+  data::Dataset ds = data::GenerateMovieLensLike(config);
+  const kg::RelationId likes = ds.graph.relation_names().Lookup("likes");
+  const data::Query q{ds.graph.EntitiesOfType("user").front(), likes,
+                      kg::Direction::kTail};
+
+  transform::JlTransform jl(ds.embeddings.dim(), 3, 43);
+  index::PointSet points(jl.ApplyToEntities(ds.embeddings), 3);
+  index::CrackingRTree tree(&points, index::RTreeConfig{});
+  RTreeTopKEngine engine(&ds.graph, &ds.embeddings, &jl, &tree,
+                         /*eps=*/1.0, /*crack_after_query=*/true, "crack");
+  LinearTopKEngine linear(&ds.graph, &ds.embeddings);
+  const size_t k = 10;
+  // Crack around the query first so the seed element is a small leaf.
+  for (int i = 0; i < 3; ++i) engine.TopKQuery(q, k);
+
+  // Link the anchor to every entity of its seed element, and to the
+  // current exact top-k so that an answer that leaks E is visible.
+  for (const TopKHit& hit : linear.TopKQuery(q, k).hits) {
+    ds.graph.AddEdge(q.anchor, likes, hit.entity);
+  }
+  const index::Point q_s2 = index::Point::FromSpan(jl.Apply(
+      ds.embeddings.QueryCenter(q.anchor, q.relation, q.direction)));
+  {
+    index::CrackingRTree::ReadPin pin = tree.PinForRead();
+    const index::Node* element = tree.ProbeSmallest(q_s2.AsSpan());
+    ASSERT_NE(element, nullptr);
+    ASSERT_LT(element->size(), ds.graph.num_entities() / 2);
+    for (uint32_t id : tree.ElementIds(*element)) {
+      if (id != q.anchor) ds.graph.AddEdge(q.anchor, likes, id);
+    }
+  }
+  const Exclusion exclusion(ds.graph, q);
+  ASSERT_GT(exclusion.known().size(), 0u);
+
+  const TopKEngine* engines[] = {&engine, &linear};
+  for (const TopKEngine* e : engines) {
+    TopKResult r = e->TopKQuery(q, k);
+    ASSERT_EQ(r.hits.size(), k) << e->name();
+    for (const TopKHit& hit : r.hits) {
+      EXPECT_FALSE(exclusion.Contains(hit.entity)) << e->name();
+    }
+  }
+
+  // Aggregates: the excluded entities carry 1000, all others 1, so an
+  // AVG over the ball reads exactly 1 unless an excluded record leaks.
+  for (kg::EntityId e = 0; e < ds.graph.num_entities(); ++e) {
+    ds.graph.attributes().Set("mark", e, exclusion.Contains(e) ? 1000 : 1);
+  }
+  AggregateEngine agg(&ds.graph, &ds.embeddings, &jl, &tree, /*eps=*/1.0,
+                      /*crack_after_query=*/true);
+  AggregateSpec spec;
+  spec.query = q;
+  spec.kind = AggKind::kAvg;
+  spec.attribute = "mark";
+  spec.prob_threshold = 0.05;
+  util::Result<AggregateResult> sampled = agg.Aggregate(spec);
+  util::Result<AggregateResult> exact = agg.ExactAggregate(spec);
+  for (const util::Result<AggregateResult>* result : {&sampled, &exact}) {
+    ASSERT_TRUE(result->ok());
+    EXPECT_GT((*result)->accessed, 0u);
+    EXPECT_DOUBLE_EQ((*result)->value, 1.0);
   }
 }
 
