@@ -87,10 +87,6 @@ VirtualKnowledgeGraph::VirtualKnowledgeGraph(const kg::KnowledgeGraph* graph,
 util::Status VirtualKnowledgeGraph::Initialize() {
   using index::MethodKind;
 
-  // Embeddings are frozen from here on (training/updates rebuild the
-  // indices via Initialize too): give the batch kernels the padded SoA
-  // fast path. Any later mutable Entity() access drops the mirror.
-  store_.BuildPaddedMirror();
   jl_ = std::make_unique<transform::JlTransform>(store_.dim(), options_.alpha,
                                                  options_.jl_seed);
   points_s2_ = std::make_unique<index::PointSet>(jl_->ApplyToEntities(store_),

@@ -1,10 +1,8 @@
 #include "embedding/batch_kernels.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "embedding/kernels_internal.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/cpu.h"
 
@@ -12,8 +10,13 @@ namespace vkg::embedding {
 
 namespace {
 
-using internal::kKernelLanes;
 using internal::RowKernel;
+
+/// Every variant the dispatcher knows, portable first, then ascending
+/// width.
+constexpr KernelVariant kAllVariants[] = {
+    KernelVariant::kPortable, KernelVariant::kAvx2, KernelVariant::kAvx512,
+    KernelVariant::kNeon};
 
 #if defined(__GNUC__) || defined(__clang__)
 inline void PrefetchRow(const float* p) { __builtin_prefetch(p, 0, 1); }
@@ -21,27 +24,8 @@ inline void PrefetchRow(const float* p) { __builtin_prefetch(p, 0, 1); }
 inline void PrefetchRow(const float*) {}
 #endif
 
-// The per-path row counters, cached once (handles are stable for the
-// life of the process). Incremented per batch, not per row.
-struct KernelMetrics {
-  obs::Counter& rows_soa;
-  obs::Counter& rows_rowmajor;
-  obs::Counter& rows_gather;
-
-  static KernelMetrics& Get() {
-    static KernelMetrics* metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      return new KernelMetrics{
-          reg.GetCounter("vkg_kernel_rows_soa_total"),
-          reg.GetCounter("vkg_kernel_rows_rowmajor_total"),
-          reg.GetCounter("vkg_kernel_rows_gather_total")};
-    }();
-    return *metrics;
-  }
-};
-
 /// The compiled-in kernel for a variant, or null when this build does
-/// not carry it (e.g. kNeon on x86, kSve everywhere for now).
+/// not carry it (e.g. kNeon on x86).
 RowKernel VariantKernel(KernelVariant v) {
   switch (v) {
     case KernelVariant::kPortable:
@@ -73,8 +57,6 @@ bool VariantRunnable(KernelVariant v) {
       return cpu.avx512f;
     case KernelVariant::kNeon:
       return cpu.neon;
-    case KernelVariant::kSve:
-      return false;  // probed but no kernel compiled yet
   }
   return false;
 }
@@ -85,7 +67,7 @@ KernelVariant ResolveVariant() {
     KernelVariant v;
     VKG_CHECK_MSG(KernelVariantFromName(forced, &v),
                   "VKG_KERNEL=%s is not a kernel variant "
-                  "(portable|avx2|avx512|neon|sve)",
+                  "(portable|avx2|avx512|neon)",
                   forced);
     VKG_CHECK_MSG(VariantRunnable(v),
                   "VKG_KERNEL=%s is not runnable here (cpu features: %s)",
@@ -114,47 +96,14 @@ const Dispatch& Dispatched() {
   return d;
 }
 
-/// q zero-extended to the store's padded dimension, reused across
-/// batches on this thread. Padding the query with zeros (matching the
-/// zero-padded rows) is a bitwise no-op under the canonical kernel
-/// contract — see kernels_internal.h.
-const float* PaddedQuery(std::span<const float> q, size_t padded_dim) {
-  static thread_local std::vector<float> buf;
-  if (buf.size() < padded_dim) buf.resize(padded_dim);
-  std::memcpy(buf.data(), q.data(), q.size() * sizeof(float));
-  std::memset(buf.data() + q.size(), 0,
-              (padded_dim - q.size()) * sizeof(float));
-  return buf.data();
-}
-
-void BatchRows(RowKernel kernel, const float* q, const float* rows,
-               size_t stride, size_t dim, size_t n, double* out) {
+void BatchRows(RowKernel kernel, std::span<const float> q, const float* rows,
+               size_t n, double* out) {
+  const size_t dim = q.size();
   for (size_t i = 0; i < n; ++i) {
     // Pull upcoming rows into cache while this one computes.
-    if (i + 4 < n) PrefetchRow(rows + (i + 4) * stride);
-    out[i] = kernel(rows + i * stride, q, dim);
+    if (i + 4 < n) PrefetchRow(rows + (i + 4) * dim);
+    out[i] = kernel(rows + i * dim, q.data(), dim);
   }
-}
-
-void BatchStore(RowKernel kernel, std::span<const float> q,
-                const EmbeddingStore& store, uint32_t first, size_t n,
-                double* out) {
-  VKG_DCHECK(first + n <= store.num_entities());
-  VKG_DCHECK(q.size() == store.dim());
-  if (n == 0) return;
-  if (store.has_padded_mirror()) {
-    // Aligned tail-free fast path: rows start on cache lines and
-    // padded_dim is a multiple of the 16-lane block, so the kernel body
-    // never enters its scalar tail.
-    const size_t pdim = store.padded_dim();
-    BatchRows(kernel, PaddedQuery(q, pdim), store.PaddedEntity(first), pdim,
-              pdim, n, out);
-    KernelMetrics::Get().rows_soa.Inc(n);
-    return;
-  }
-  BatchRows(kernel, q.data(), store.Entity(first).data(), store.dim(),
-            store.dim(), n, out);
-  KernelMetrics::Get().rows_rowmajor.Inc(n);
 }
 
 void GatherStore(RowKernel kernel, std::span<const float> q,
@@ -168,7 +117,6 @@ void GatherStore(RowKernel kernel, std::span<const float> q,
     if (i + 4 < n) PrefetchRow(store.Entity(ids[i + 4]).data());
     out[i] = kernel(store.Entity(ids[i]).data(), qp, dim);
   }
-  KernelMetrics::Get().rows_gather.Inc(n);
 }
 
 RowKernel CheckedVariantKernel(KernelVariant v) {
@@ -192,16 +140,12 @@ std::string_view KernelVariantName(KernelVariant v) {
       return "avx512";
     case KernelVariant::kNeon:
       return "neon";
-    case KernelVariant::kSve:
-      return "sve";
   }
   return "unknown";
 }
 
 bool KernelVariantFromName(std::string_view name, KernelVariant* out) {
-  for (KernelVariant v : {KernelVariant::kPortable, KernelVariant::kAvx2,
-                          KernelVariant::kAvx512, KernelVariant::kNeon,
-                          KernelVariant::kSve}) {
+  for (KernelVariant v : kAllVariants) {
     if (name == KernelVariantName(v)) {
       *out = v;
       return true;
@@ -212,9 +156,7 @@ bool KernelVariantFromName(std::string_view name, KernelVariant* out) {
 
 std::vector<KernelVariant> RunnableKernelVariants() {
   std::vector<KernelVariant> variants;
-  for (KernelVariant v : {KernelVariant::kPortable, KernelVariant::kAvx2,
-                          KernelVariant::kAvx512, KernelVariant::kNeon,
-                          KernelVariant::kSve}) {
+  for (KernelVariant v : kAllVariants) {
     if (VariantRunnable(v)) variants.push_back(v);
   }
   return variants;
@@ -228,13 +170,16 @@ std::string_view DispatchedKernelName() {
 
 void BatchL2DistanceSquared(std::span<const float> q, const float* rows,
                             size_t n, double* out) {
-  BatchRows(Dispatched().row, q.data(), rows, q.size(), q.size(), n, out);
+  BatchRows(Dispatched().row, q, rows, n, out);
 }
 
 void BatchL2DistanceSquared(std::span<const float> q,
                             const EmbeddingStore& store, uint32_t first,
                             size_t n, double* out) {
-  BatchStore(Dispatched().row, q, store, first, n, out);
+  VKG_DCHECK(first + n <= store.num_entities());
+  VKG_DCHECK(q.size() == store.dim());
+  if (n == 0) return;
+  BatchRows(Dispatched().row, q, store.Entity(first).data(), n, out);
 }
 
 void GatherL2DistanceSquared(std::span<const float> q,
@@ -245,14 +190,7 @@ void GatherL2DistanceSquared(std::span<const float> q,
 
 void BatchL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,
                                    const float* rows, size_t n, double* out) {
-  BatchRows(CheckedVariantKernel(v), q.data(), rows, q.size(), q.size(), n,
-            out);
-}
-
-void BatchL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,
-                                   const EmbeddingStore& store, uint32_t first,
-                                   size_t n, double* out) {
-  BatchStore(CheckedVariantKernel(v), q, store, first, n, out);
+  BatchRows(CheckedVariantKernel(v), q, rows, n, out);
 }
 
 void GatherL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,

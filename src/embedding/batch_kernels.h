@@ -16,8 +16,8 @@ namespace vkg::embedding {
 ///
 /// Every variant — portable, AVX2, AVX-512 on x86-64, NEON on arm64 —
 /// implements one canonical 16-lane accumulation contract (see
-/// kernels_internal.h), so all variants and all layouts (row-major
-/// blocked, padded SoA, gather) agree BIT FOR BIT: a row's result
+/// kernels_internal.h), so all variants and all entry points (raw
+/// rows, store range, gather) agree BIT FOR BIT: a row's result
 /// depends only on (row values, q values, dim). They may differ from
 /// the strictly-sequential scalar `L2DistanceSquared` in the last few
 /// ulps (different association of the same exact products).
@@ -27,27 +27,16 @@ namespace vkg::embedding {
 /// portable) — or forced with the VKG_KERNEL environment variable
 /// (`portable|avx2|avx512|neon`). Forcing a variant the build or the
 /// CPU cannot run is a hard startup failure, not a silent fallback.
-///
-/// When the store carries a padded SoA mirror (EmbeddingStore::
-/// BuildPaddedMirror), the contiguous store overload runs the tail-free
-/// aligned fast path over 64-byte-aligned rows; zero padding is a
-/// bitwise no-op under the canonical contract, so results are identical
-/// to the row-major path. The vkg_kernel_rows_{soa,rowmajor,gather}_total
-/// counters record which path served each row.
 
-/// The kernel variants the dispatcher knows about. kSve is reserved
-/// scaffolding: probed (util::CpuInfo().sve) and nameable, but no SVE
-/// kernel is compiled yet, so forcing it fails like any other
-/// unavailable variant.
+/// The kernel variants the dispatcher knows about.
 enum class KernelVariant : uint8_t {
   kPortable = 0,
   kAvx2,
   kAvx512,
   kNeon,
-  kSve,
 };
 
-/// Stable lowercase name ("portable", "avx2", "avx512", "neon", "sve").
+/// Stable lowercase name ("portable", "avx2", "avx512", "neon").
 std::string_view KernelVariantName(KernelVariant v);
 
 /// Parses a VKG_KERNEL-style name. Returns false on unknown names.
@@ -68,8 +57,7 @@ void BatchL2DistanceSquared(std::span<const float> q, const float* rows,
                             size_t n, double* out);
 
 /// Convenience overload over a contiguous id range of the store:
-/// out[i] = ||store[first + i] - q||^2 for i in [0, n). Takes the
-/// aligned tail-free SoA path when the store has a padded mirror.
+/// out[i] = ||store[first + i] - q||^2 for i in [0, n).
 void BatchL2DistanceSquared(std::span<const float> q,
                             const EmbeddingStore& store, uint32_t first,
                             size_t n, double* out);
@@ -84,9 +72,6 @@ void GatherL2DistanceSquared(std::span<const float> q,
 /// per-variant enumeration. `v` must be in RunnableKernelVariants().
 void BatchL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,
                                    const float* rows, size_t n, double* out);
-void BatchL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,
-                                   const EmbeddingStore& store, uint32_t first,
-                                   size_t n, double* out);
 void GatherL2DistanceSquaredVariant(KernelVariant v, std::span<const float> q,
                                     const EmbeddingStore& store,
                                     std::span<const uint32_t> ids, double* out);

@@ -24,25 +24,18 @@
 // spills to a double[16] for the shared tail + reduction below. Because
 // every variant performs the identical multiplications and additions in
 // the identical association, portable/AVX2/AVX-512/NEON and the
-// row-major/SoA/gather layouts all agree bit for bit; the cross-variant
-// property test (tests/kernel_variants_test.cc) holds this line.
+// contiguous and gather entry points all agree bit for bit; the
+// cross-variant property test (tests/kernel_variants_test.cc) holds
+// this line.
 //
-// Two rules keep that true:
-//   1. No FMA anywhere — a fused multiply-add rounds once where the
-//      contract rounds twice. The build also sets -ffp-contract=off so
-//      the compiler cannot fuse the separate mul/add on ISAs where FMA
-//      is baseline (aarch64, -march=native x86).
-//   2. Zero padding is a bitwise no-op — a padded element contributes
-//      d*d = +0.0, lanes are sums of squares (never -0.0), and
-//      x + (+0.0) == x bitwise — which is what lets the padded SoA
-//      layout (store.padded_dim() a multiple of 16) run the tail-free
-//      body over padded_dim and still match the row-major path on dim.
+// One rule keeps that true: no FMA anywhere — a fused multiply-add
+// rounds once where the contract rounds twice. The build also sets
+// -ffp-contract=off so the compiler cannot fuse the separate mul/add on
+// ISAs where FMA is baseline (aarch64, -march=native x86).
 
 namespace vkg::embedding::internal {
 
-/// Accumulator lanes of the canonical kernel; also the SoA padding
-/// quantum: 16 floats = 64 bytes = one cache line = one padded-row
-/// alignment unit.
+/// Accumulator lanes of the canonical kernel.
 inline constexpr size_t kKernelLanes = 16;
 
 using RowKernel = double (*)(const float* r, const float* q, size_t dim);
@@ -76,9 +69,6 @@ double RowL2Avx512(const float* r, const float* q, size_t dim);
 #if defined(__aarch64__)
 #define VKG_KERNELS_NEON 1
 double RowL2Neon(const float* r, const float* q, size_t dim);
-// SVE scaffolding: a RowL2Sve with a vector-length-agnostic body slots
-// in here once a CI host can run it; the dispatcher already reserves
-// the variant name and probes HWCAP_SVE (util::CpuInfo().sve).
 #endif
 
 }  // namespace vkg::embedding::internal

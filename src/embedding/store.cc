@@ -1,23 +1,20 @@
 #include "embedding/store.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "embedding/vector_ops.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/serialize.h"
 
 namespace vkg::embedding {
 
 namespace {
-constexpr uint32_t kMagic = 0x564b4745;        // "VKGE" (v1, row-major only)
-constexpr uint32_t kMagicPadded = 0x564b4750;  // "VKGP" (v2, + padded_dim)
+constexpr uint32_t kMagic = 0x564b4745;        // "VKGE" (v1)
+constexpr uint32_t kMagicPadded = 0x564b4750;  // "VKGP" (v2, + padded dim)
 
-size_t PaddedDimFor(size_t dim) {
-  return (dim + EmbeddingStore::kPadFloats - 1) / EmbeddingStore::kPadFloats *
-         EmbeddingStore::kPadFloats;
-}
+// v2 files, written by releases that kept a padded copy of the entity
+// rows, record dim rounded up to a multiple of 16 floats.
+size_t PaddedDimFor(size_t dim) { return (dim + 15) / 16 * 16; }
 }  // namespace
 
 EmbeddingStore::EmbeddingStore(size_t num_entities, size_t num_relations,
@@ -30,25 +27,7 @@ EmbeddingStore::EmbeddingStore(size_t num_entities, size_t num_relations,
   VKG_CHECK(dim > 0);
 }
 
-void EmbeddingStore::BuildPaddedMirror() {
-  const size_t pdim = PaddedDimFor(dim_);
-  const size_t total = num_entities_ * pdim;
-  float* raw = static_cast<float*>(util::AlignedAlloc(total * sizeof(float)));
-  std::shared_ptr<const float[]> mirror(
-      raw, [](const float* p) { util::AlignedFree(const_cast<float*>(p)); });
-  if (pdim != dim_) {
-    std::memset(raw, 0, total * sizeof(float));
-  }
-  for (size_t e = 0; e < num_entities_; ++e) {
-    std::memcpy(raw + e * pdim, entities_.data() + e * dim_,
-                dim_ * sizeof(float));
-  }
-  padded_ = std::move(mirror);
-  padded_dim_ = pdim;
-}
-
 void EmbeddingStore::RandomInitialize(util::Rng& rng) {
-  DropPaddedMirror();
   const double bound = 6.0 / std::sqrt(static_cast<double>(dim_));
   for (float& v : entities_) {
     v = static_cast<float>(rng.Uniform(-bound, bound));
@@ -85,14 +64,10 @@ void EmbeddingStore::QueryCenterInto(kg::EntityId anchor, kg::RelationId r,
 util::Status EmbeddingStore::Save(const std::string& path) const {
   util::BinaryWriter w(path);
   VKG_RETURN_IF_ERROR(w.status());
-  // The payload is row-major either way; v2 only records that a mirror
-  // (and which padded_dim) should be rebuilt on load. Plain stores keep
-  // emitting v1 bit-for-bit so old readers still load them.
-  w.WriteU32(has_padded_mirror() ? kMagicPadded : kMagic);
+  w.WriteU32(kMagic);
   w.WriteU64(num_entities_);
   w.WriteU64(num_relations_);
   w.WriteU64(dim_);
-  if (has_padded_mirror()) w.WriteU64(padded_dim_);
   w.WriteF32Array(entities_);
   w.WriteF32Array(relations_);
   w.WriteChecksum();
@@ -116,7 +91,7 @@ util::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
     return util::Status::InvalidArgument("zero embedding dim in " + path);
   }
   // The padded dim is derivable from dim; a header that disagrees is
-  // corruption, not a different layout.
+  // corruption, not a different layout. Past that check it is unused.
   if (magic == kMagicPadded && padded_dim != PaddedDimFor(dim)) {
     return util::Status::DataLoss("corrupt padded dim in " + path);
   }
@@ -136,7 +111,6 @@ util::Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path) {
   }
   r.VerifyChecksum();
   VKG_RETURN_IF_ERROR(r.status());
-  if (magic == kMagicPadded) store.BuildPaddedMirror();
   return store;
 }
 

@@ -10,10 +10,8 @@
 
 namespace vkg::util {
 
-/// 64-byte-aligned heap allocation (the easel esl_alloc discipline).
-/// Blocks returned by AlignedAlloc start on a cache line, which is what
-/// lets the padded SoA embedding mirror promise aligned full-vector
-/// loads to the SIMD kernels.
+/// 64-byte-aligned heap allocation (the easel esl_alloc discipline):
+/// blocks returned by AlignedAlloc start on a cache line.
 void* AlignedAlloc(size_t bytes);
 void AlignedFree(void* p);
 

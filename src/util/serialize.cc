@@ -1,19 +1,26 @@
 #include "util/serialize.h"
 
+#include <unistd.h>
+
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
 namespace vkg::util {
 
-BinaryWriter::BinaryWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "wb");
+BinaryWriter::BinaryWriter(const std::string& path)
+    : path_(path), tmp_path_(path + ".tmp") {
+  file_ = std::fopen(tmp_path_.c_str(), "wb");
   if (file_ == nullptr) {
-    status_ = Status::IoError("cannot open for writing: " + path);
+    status_ = Status::IoError("cannot open for writing: " + tmp_path_);
   }
 }
 
 BinaryWriter::~BinaryWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  // Never committed: abandon the temp file, leave the destination be.
+  if (file_ != nullptr) {
+    std::fclose(file_);
+    std::remove(tmp_path_.c_str());
+  }
 }
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
@@ -58,12 +65,20 @@ void BinaryWriter::WriteChecksum() {
 }
 
 Status BinaryWriter::Close() {
-  if (file_ != nullptr) {
-    if (std::fclose(file_) != 0 && status_.ok()) {
-      status_ = Status::IoError("close error");
-    }
-    file_ = nullptr;
+  if (file_ == nullptr) return status_;
+  std::FILE* file = file_;
+  file_ = nullptr;
+  if (status_.ok() &&
+      (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0)) {
+    status_ = Status::IoError("cannot flush: " + tmp_path_);
   }
+  if (std::fclose(file) != 0 && status_.ok()) {
+    status_ = Status::IoError("close error: " + tmp_path_);
+  }
+  if (status_.ok() && std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    status_ = Status::IoError("cannot rename " + tmp_path_ + " to " + path_);
+  }
+  if (!status_.ok()) std::remove(tmp_path_.c_str());
   return status_;
 }
 

@@ -20,6 +20,12 @@ inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n);
 
 /// Little-endian binary writer for persisting embeddings and indexes.
+///
+/// Crash-safe replacement: bytes go to `path + ".tmp"` in the same
+/// directory, and only a successful Close() flushes, fsyncs and renames
+/// that file over `path`. On any error, or when the writer is destroyed
+/// without a successful Close(), the temp file is unlinked and `path`
+/// keeps its previous contents.
 class BinaryWriter {
  public:
   explicit BinaryWriter(const std::string& path);
@@ -43,11 +49,15 @@ class BinaryWriter {
   /// parsed into a silently-wrong structure.
   void WriteChecksum();
 
+  /// Commits the file (flush, fsync, rename over the destination). The
+  /// first error of the whole write wins; on error nothing is renamed.
   Status Close();
 
  private:
   void WriteBytes(const void* data, size_t n);
 
+  std::string path_;
+  std::string tmp_path_;
   std::FILE* file_ = nullptr;
   uint64_t crc_ = 1469598103934665603ULL;  // FNV-1a offset basis
   Status status_;

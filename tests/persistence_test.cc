@@ -12,6 +12,7 @@
 
 #include "embedding/store.h"
 #include "index/cracking_rtree.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 #include "util/serialize.h"
 
@@ -285,59 +286,82 @@ TEST(PersistenceTest, RejectsTruncatedFiles) {
   std::remove(path.c_str());
 }
 
-// A store with a padded SoA mirror saves as v2 ("VKGP") and the loader
-// rebuilds the mirror; a plain store keeps emitting the v1 magic so
-// old files and old readers are unaffected.
-TEST(PersistenceTest, PaddedEmbeddingStoreRoundTrips) {
+// Save writes the v1 "VKGE" format, whatever the store's dim.
+TEST(PersistenceTest, EmbeddingStoreSavesV1) {
   util::Rng rng(202);
-  embedding::EmbeddingStore store(30, 3, 37);  // dim 37 pads to 48
+  embedding::EmbeddingStore store(30, 3, 37);
   store.RandomInitialize(rng);
-  store.BuildPaddedMirror();
-  ASSERT_TRUE(store.has_padded_mirror());
-
-  std::string path = TempPath("vkg_emb_padded.bin");
+  std::string path = TempPath("vkg_emb_v1.bin");
   ASSERT_TRUE(store.Save(path).ok());
   const std::vector<char> bytes = ReadFile(path);
-  // Little-endian u32 of "VKGP" (0x564b4750) leads with 0x50.
-  EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0x50u);
-
-  auto loaded = embedding::EmbeddingStore::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->has_padded_mirror());
-  EXPECT_EQ(loaded->padded_dim(), store.padded_dim());
-  // Read through const refs: the mutable Entity() overload drops the
-  // mirror (writes through the span would stale it).
-  const embedding::EmbeddingStore& lref = *loaded;
-  const embedding::EmbeddingStore& sref = store;
-  for (uint32_t e = 0; e < 30; ++e) {
-    EXPECT_EQ(0, std::memcmp(lref.Entity(e).data(), sref.Entity(e).data(),
-                             37 * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(lref.PaddedEntity(e), sref.PaddedEntity(e),
-                             store.padded_dim() * sizeof(float)));
-  }
-
-  // The same store without a mirror writes v1 bit-for-bit.
-  store.DropPaddedMirror();
-  ASSERT_TRUE(store.Save(path).ok());
-  const std::vector<char> v1 = ReadFile(path);
-  EXPECT_EQ(static_cast<unsigned char>(v1[0]), 0x45u);  // "VKGE"
-  EXPECT_EQ(v1.size(), bytes.size() - sizeof(uint64_t));
-  auto plain = embedding::EmbeddingStore::Load(path);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain->has_padded_mirror());
+  // Little-endian u32 of "VKGE" (0x564b4745) leads with 0x45.
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0x45u);
+  EXPECT_TRUE(embedding::EmbeddingStore::Load(path).ok());
   std::remove(path.c_str());
 }
 
-// The padded dim is derived state: a header that disagrees with
-// PaddedDimFor(dim) is corruption, and every byte flip anywhere in a v2
-// file must still be detected (field checks or trailing checksum).
-TEST(PersistenceTest, PaddedEmbeddingStoreRejectsCorruption) {
+// Writes `store` in the v2 "VKGP" layout of earlier releases: the v1
+// header plus the dim rounded up to a multiple of 16 floats, then the
+// same row-major payload and trailing checksum.
+void WriteV2EmbeddingFile(const std::string& path,
+                          const embedding::EmbeddingStore& store) {
+  std::vector<float> entities, relations;
+  for (uint32_t e = 0; e < store.num_entities(); ++e) {
+    entities.insert(entities.end(), store.Entity(e).begin(),
+                    store.Entity(e).end());
+  }
+  for (uint32_t r = 0; r < store.num_relations(); ++r) {
+    relations.insert(relations.end(), store.Relation(r).begin(),
+                     store.Relation(r).end());
+  }
+  util::BinaryWriter w(path);
+  w.WriteU32(0x564b4750);  // "VKGP"
+  w.WriteU64(store.num_entities());
+  w.WriteU64(store.num_relations());
+  w.WriteU64(store.dim());
+  w.WriteU64((store.dim() + 15) / 16 * 16);
+  w.WriteF32Array(entities);
+  w.WriteF32Array(relations);
+  w.WriteChecksum();
+  ASSERT_TRUE(w.Close().ok());
+}
+
+// Files in the v2 layout still load, with rows identical to the store
+// that wrote them.
+TEST(PersistenceTest, V2EmbeddingFileStillLoads) {
+  util::Rng rng(204);
+  embedding::EmbeddingStore store(30, 3, 37);  // dim 37 pads to 48
+  store.RandomInitialize(rng);
+  std::string path = TempPath("vkg_emb_v2.bin");
+  WriteV2EmbeddingFile(path, store);
+
+  auto loaded = embedding::EmbeddingStore::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->num_entities(), 30u);
+  ASSERT_EQ(loaded->num_relations(), 3u);
+  ASSERT_EQ(loaded->dim(), 37u);
+  for (uint32_t e = 0; e < 30; ++e) {
+    EXPECT_EQ(0, std::memcmp(loaded->Entity(e).data(), store.Entity(e).data(),
+                             37 * sizeof(float)));
+  }
+  for (uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(0,
+              std::memcmp(loaded->Relation(r).data(), store.Relation(r).data(),
+                          37 * sizeof(float)));
+  }
+  std::remove(path.c_str());
+}
+
+// The padded dim of a v2 file is derivable from dim: a header that
+// disagrees is corruption, and every byte flip anywhere in a v2 file
+// must still be detected (field checks or trailing checksum).
+TEST(PersistenceTest, V2EmbeddingFileRejectsCorruption) {
   util::Rng rng(203);
   embedding::EmbeddingStore store(20, 2, 16);
   store.RandomInitialize(rng);
-  store.BuildPaddedMirror();
-  std::string path = TempPath("vkg_emb_padded_corrupt.bin");
-  ASSERT_TRUE(store.Save(path).ok());
+  std::string path = TempPath("vkg_emb_v2_corrupt.bin");
+  WriteV2EmbeddingFile(path, store);
 
   const std::vector<char> original = ReadFile(path);
   for (size_t off = 0; off < original.size();
@@ -351,6 +375,60 @@ TEST(PersistenceTest, PaddedEmbeddingStoreRejectsCorruption) {
   WriteFile(path, original);
   EXPECT_TRUE(embedding::EmbeddingStore::Load(path).ok());
   std::remove(path.c_str());
+}
+
+// A Save that fails part-way must leave the previous file in place,
+// still loadable and byte-identical to the earlier good save, with no
+// temp file left behind.
+TEST(PersistenceTest, FailedSaveKeepsThePreviousFile) {
+  util::FailPointRegistry& failpoints = util::FailPointRegistry::Instance();
+
+  PointSet ps = RandomPoints(2000, 3, 111);
+  CrackingRTree tree(&ps, RTreeConfig{});
+  tree.Crack(RegionAround(ps, 3, 0.4));
+  const IndexStats saved = tree.Stats();
+  const std::string index_path = TempPath("vkg_index_atomic.bin");
+  ASSERT_TRUE(tree.Save(index_path).ok());
+  const std::vector<char> good_index = ReadFile(index_path);
+  for (uint32_t center : {17u, 400u, 1200u}) {
+    tree.Crack(RegionAround(ps, center, 0.6));
+  }
+  ASSERT_NE(tree.Stats().binary_splits, saved.binary_splits);
+
+  ASSERT_TRUE(failpoints.ConfigureSite("serialize.write", "20*off,1*fail")
+                  .ok());
+  EXPECT_FALSE(tree.Save(index_path).ok());
+  failpoints.Clear();
+  EXPECT_EQ(ReadFile(index_path), good_index);
+  EXPECT_FALSE(std::filesystem::exists(index_path + ".tmp"));
+  auto index = CrackingRTree::Load(index_path, &ps);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->Stats().binary_splits, saved.binary_splits);
+  EXPECT_EQ((*index)->Stats().num_nodes, saved.num_nodes);
+
+  util::Rng rng(112);
+  embedding::EmbeddingStore store(50, 2, 8);
+  store.RandomInitialize(rng);
+  const std::string emb_path = TempPath("vkg_emb_atomic.bin");
+  ASSERT_TRUE(store.Save(emb_path).ok());
+  const std::vector<char> good_emb = ReadFile(emb_path);
+  const float saved_value = store.Entity(0)[0];
+  store.Entity(0)[0] = saved_value + 1.0f;
+
+  // An embedding file is only nine writes long (header, two arrays,
+  // checksum), so the failure lands inside the entity array instead.
+  ASSERT_TRUE(failpoints.ConfigureSite("serialize.write", "5*off,1*fail")
+                  .ok());
+  EXPECT_FALSE(store.Save(emb_path).ok());
+  failpoints.Clear();
+  EXPECT_EQ(ReadFile(emb_path), good_emb);
+  EXPECT_FALSE(std::filesystem::exists(emb_path + ".tmp"));
+  auto loaded = embedding::EmbeddingStore::Load(emb_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Entity(0)[0], saved_value);
+
+  std::remove(index_path.c_str());
+  std::remove(emb_path.c_str());
 }
 
 }  // namespace

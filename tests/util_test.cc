@@ -308,6 +308,27 @@ TEST(SerializeTest, ShortReadIsError) {
   std::remove(path.c_str());
 }
 
+// A writer destroyed without Close() commits nothing: the destination
+// keeps its previous bytes and no temp file is left behind.
+TEST(SerializeTest, AbandonedWriterLeavesDestinationUntouched) {
+  std::string path = TempPath("vkg_bin_abandoned.bin");
+  {
+    BinaryWriter w(path);
+    w.WriteU32(7);
+    ASSERT_TRUE(w.Close().ok());
+  }
+  {
+    BinaryWriter w(path);
+    w.WriteU32(8);
+    w.WriteU64(9);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  BinaryReader r(path);
+  EXPECT_EQ(r.ReadU32(), 7u);
+  EXPECT_EQ(r.Remaining(), 0u);
+  std::remove(path.c_str());
+}
+
 // --- thread pool -----------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllTasks) {

@@ -251,10 +251,11 @@ class NetGateTest(unittest.TestCase):
 
 
 class SpeedupGateTest(unittest.TestCase):
-    """The SPEEDUP_MIN floors (SoA/SIMD kernel engagement)."""
+    """The SPEEDUP_MIN floors (SIMD kernel dispatch engagement)."""
 
     def rec(self, value):
-        return {"name": "soa_over_portable", "value": value, "unit": "x"}
+        return {"name": "dispatched_over_portable", "value": value,
+                "unit": "x"}
 
     def test_healthy_speedup_passes(self):
         failures, checked, skipped = bench_check.check_speedup(
@@ -270,7 +271,7 @@ class SpeedupGateTest(unittest.TestCase):
                 bench="micro_distance_kernels"))
         self.assertEqual(len(failures), 1)
         self.assertEqual(checked, 1)
-        self.assertIn("soa_over_portable", failures[0])
+        self.assertIn("dispatched_over_portable", failures[0])
         self.assertIn("measured 0.970x", failures[0])
         self.assertIn("threshold >= 1.050x", failures[0])
 
