@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "index/bulk_rtree.h"
@@ -277,6 +278,42 @@ void PrintAggregateSweep(const std::string& title,
   }
 }
 
+namespace {
+
+// First line of `command`'s stdout ("" when it fails to start or prints
+// nothing).
+std::string FirstLineOf(const std::string& command) {
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buffer[256] = {};
+  std::string line;
+  if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) line = buffer;
+  pclose(pipe);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+// Short sha of the checkout this binary was built from, "-dirty" when
+// tracked sources differ from HEAD, "unknown" without git or a
+// checkout. Only the paths the benches are built from count: the
+// tracked root BENCH_*.json files that benches rewrite do not.
+std::string GitSha() {
+  const std::string git =
+      std::string("git -C '") + VKG_SOURCE_DIR + "' ";
+  std::string sha = FirstLineOf(git + "rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  if (!FirstLineOf(git + "status --porcelain --untracked-files=no -- "
+                         "src bench cmake CMakeLists.txt 2>/dev/null")
+           .empty()) {
+    sha += "-dirty";
+  }
+  return sha;
+}
+
+}  // namespace
+
 void WriteBenchJson(
     const std::string& path, const std::string& bench,
     const std::vector<std::pair<std::string, double>>& context,
@@ -313,6 +350,9 @@ void WriteBenchJson(
                  string_context[i].first.c_str(),
                  string_context[i].second.c_str());
   }
+  std::fprintf(f, "%s\n    \"git_sha\": \"%s\"",
+               context.empty() && string_context.empty() ? "" : ",",
+               GitSha().c_str());
   std::fprintf(f, "\n  },\n  \"results\": [");
   for (size_t i = 0; i < records.size(); ++i) {
     std::fprintf(f,

@@ -121,7 +121,11 @@ struct BenchRecord {
 ///
 /// `string_context` entries land in the same "context" object as quoted
 /// strings (e.g. which kernel variant the process dispatched to); both
-/// keys and values must be escape-free literals.
+/// keys and values must be escape-free literals. Every document also
+/// carries "git_sha": the short sha of the checkout the bench was
+/// built from, suffixed "-dirty" when its tracked sources (src/, bench/,
+/// the CMake files) differ from HEAD, or "unknown" when git or the
+/// checkout is unavailable.
 void WriteBenchJson(
     const std::string& path, const std::string& bench,
     const std::vector<std::pair<std::string, double>>& context,

@@ -5,7 +5,7 @@
 //   cold  — every request computes (cache bypassed) on a *converged*
 //           tree: the per-request engine cost the cache saves;
 //   warm  — same workload with the result cache on: every request is a
-//           generation-checked hit. The bench fails unless
+//           data-versioned hit. The bench fails unless
 //           warm_qps >= 5x cold_qps and the warm pass was 100% hits;
 //   coalesce — a 16-duplicate storm against a busy single-worker shard
 //           must collapse to ONE computation (asserted via the server's
@@ -119,25 +119,18 @@ int Run() {
              " queries, k=" + std::to_string(k) + ", " +
              std::to_string(config.shards) + " shards)");
 
-  // --- Converge the shard trees so warm-vs-cold compares steady states:
-  // passes crack the trees until a full pass publishes nothing, at
-  // which point generations stop moving and cache entries stay valid.
+  // --- Converge the facade's tree (which every shard cracks) so
+  // warm-vs-cold compares steady states: passes crack it until a full
+  // pass publishes nothing and its generation stops moving.
   size_t converge_passes = 0;
   for (; converge_passes < 64; ++converge_passes) {
-    std::vector<uint64_t> before(srv.num_shards());
-    for (size_t s = 0; s < srv.num_shards(); ++s) {
-      before[s] = srv.ShardGeneration(s);
-    }
+    const uint64_t before = vkg->rtree().crack_generation();
     RunPass(srv, queries, k, /*bypass_cache=*/true);
-    bool stable = true;
-    for (size_t s = 0; s < srv.num_shards(); ++s) {
-      if (srv.ShardGeneration(s) != before[s]) stable = false;
-    }
-    if (stable) break;
+    if (vkg->rtree().crack_generation() == before) break;
   }
   std::printf("converged after %zu warmup passes\n", converge_passes + 1);
 
-  // --- Cold: every request computes on the converged trees.
+  // --- Cold: every request computes on the converged tree.
   server::ServerStats before = srv.Stats();
   double cold_ms = RunPass(srv, queries, k, /*bypass_cache=*/true);
   server::ServerStats after = srv.Stats();
@@ -150,7 +143,7 @@ int Run() {
   }
 
   // --- Warm: the same workload through the cache (populated by the
-  // cold pass's stores at the now-stable generation).
+  // cold pass's stores; the data version has not moved since).
   before = srv.Stats();
   double warm_ms = RunPass(srv, queries, k, /*bypass_cache=*/false);
   after = srv.Stats();

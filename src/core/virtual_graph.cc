@@ -156,6 +156,12 @@ query::TopKResult VirtualKnowledgeGraph::TopK(const data::Query& query,
   query::QueryContext ctx;
   ApplyQueryLimits(options_, ctx);
   ctx.set_trace(trace);
+  return TopK(query, k, ctx);
+}
+
+query::TopKResult VirtualKnowledgeGraph::TopK(const data::Query& query,
+                                              size_t k,
+                                              query::QueryContext& ctx) const {
   query::TopKResult result = topk_engine_->TopKQuery(query, k, ctx);
   if (overlay_.empty()) return result;
 
@@ -299,6 +305,7 @@ util::Status VirtualKnowledgeGraph::UpdateEntityEmbedding(
   if (std::find(overlay_.begin(), overlay_.end(), e) == overlay_.end()) {
     overlay_.push_back(e);
   }
+  ++embedding_updates_;
   return util::Status::OK();
 }
 
@@ -331,6 +338,11 @@ util::Result<query::AggregateResult> VirtualKnowledgeGraph::Aggregate(
   query::QueryContext ctx;
   ApplyQueryLimits(options_, ctx);
   ctx.set_trace(trace);
+  return Aggregate(spec, ctx);
+}
+
+util::Result<query::AggregateResult> VirtualKnowledgeGraph::Aggregate(
+    const query::AggregateSpec& spec, query::QueryContext& ctx) const {
   return aggregate_engine_->Aggregate(spec, ctx);
 }
 

@@ -1,6 +1,7 @@
 #ifndef VKG_CORE_VIRTUAL_GRAPH_H_
 #define VKG_CORE_VIRTUAL_GRAPH_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,10 +40,12 @@ namespace vkg::core {
 /// traverse immutable epoch-published tree versions lock-free and the
 /// cracking R-tree serializes that mutation on a writer-side mutex
 /// (DESIGN.md §6f). BatchTopK / BatchAggregate below exploit this by
-/// fanning a query span over options.query_threads workers. Dynamic
-/// updates (UpdateEntityEmbedding / CompactUpdates / LoadIndex) swap
-/// engine state and must still be externally synchronized against
-/// in-flight queries.
+/// fanning a query span over options.query_threads workers, and the
+/// query server's shards (server::VkgServer) answer through the
+/// context-taking TopK / Aggregate forms, so every caller cracks the
+/// one tree. Dynamic updates (UpdateEntityEmbedding / CompactUpdates /
+/// LoadIndex, and AddEdge on the graph) swap engine state and must
+/// still be externally synchronized against in-flight queries.
 class VirtualKnowledgeGraph {
  public:
   /// Builds from precomputed S1 embeddings (the paper's setting: the
@@ -70,6 +73,12 @@ class VirtualKnowledgeGraph {
   /// inspection (DESIGN.md §6e); null keeps the untraced hot path.
   query::TopKResult TopK(const data::Query& query, size_t k,
                          obs::Trace* trace = nullptr);
+  /// The same query under a caller-armed context (deadline, budget,
+  /// trace): the form the query server's workers call. Overlay entities
+  /// are merged exactly as above; `ctx` must not be shared between
+  /// concurrent callers.
+  query::TopKResult TopK(const data::Query& query, size_t k,
+                         query::QueryContext& ctx) const;
 
   /// Name-based convenience (NotFound for unknown names).
   util::Result<query::TopKResult> TopKByName(std::string_view anchor,
@@ -85,7 +94,7 @@ class VirtualKnowledgeGraph {
   /// (BatchOptions semantics — late queries degrade, never fail).
   /// Note: the batch path queries the index directly — entities with
   /// pending embedding updates (pending_updates() > 0) are merged only
-  /// by the single-query TopK() form.
+  /// by the TopK() forms.
   std::vector<util::Result<query::TopKResult>> BatchTopK(
       std::span<const data::Query> queries, size_t k);
 
@@ -102,6 +111,10 @@ class VirtualKnowledgeGraph {
   /// as in TopK().
   util::Result<query::AggregateResult> Aggregate(
       const query::AggregateSpec& spec, obs::Trace* trace = nullptr);
+  /// Aggregate under a caller-armed context (see the context-taking
+  /// TopK).
+  util::Result<query::AggregateResult> Aggregate(
+      const query::AggregateSpec& spec, query::QueryContext& ctx) const;
 
   /// Exact (no-index) aggregate: the accuracy baseline.
   util::Result<query::AggregateResult> ExactAggregate(
@@ -146,6 +159,16 @@ class VirtualKnowledgeGraph {
   /// Number of entities currently in the overlay.
   size_t pending_updates() const { return overlay_.size(); }
 
+  /// Monotone count of changes to the data answers are computed from:
+  /// UpdateEntityEmbedding calls plus the graph's edge_version(). An
+  /// answer computed after reading version V holds until the version
+  /// moves; the server's result cache stamps entries with it (DESIGN.md
+  /// §6g). Cracks, CompactUpdates and LoadIndex change only the index,
+  /// so they leave it alone.
+  uint64_t data_version() const {
+    return embedding_updates_ + graph_->edge_version();
+  }
+
   /// Rebuilds the transform target points and the index from the current
   /// embeddings and clears the overlay. The new cracking index is empty
   /// and re-cracks on demand.
@@ -175,13 +198,9 @@ class VirtualKnowledgeGraph {
   const kg::KnowledgeGraph& graph() const { return *graph_; }
   const embedding::EmbeddingStore& embeddings() const { return store_; }
   const transform::JlTransform& jl() const { return *jl_; }
-  /// The transformed S2 point set the index is built over. Shared by the
-  /// query server's worker shards: each shard builds its *own*
-  /// CrackingRTree over this one point set (points are immutable after
-  /// Initialize; CompactUpdates() rebuilds them and must be externally
-  /// synchronized against anything holding this reference — the server
-  /// keeps the VKG handle alive via shared ownership and never compacts
-  /// while serving).
+  /// The transformed S2 point set the index is built over (immutable
+  /// after Initialize; CompactUpdates() rebuilds it and must be
+  /// externally synchronized against anything holding this reference).
   const index::PointSet& points_s2() const { return *points_s2_; }
   index::IndexStats IndexStats() const { return rtree_->Stats(); }
   const VkgOptions& options() const { return options_; }
@@ -210,6 +229,8 @@ class VirtualKnowledgeGraph {
   std::unique_ptr<util::ThreadPool> query_pool_;
   /// Entities whose embedding changed since the last compaction.
   std::vector<kg::EntityId> overlay_;
+  /// UpdateEntityEmbedding calls so far (half of data_version()).
+  uint64_t embedding_updates_ = 0;
 };
 
 }  // namespace vkg::core

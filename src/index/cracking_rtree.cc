@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/math_util.h"
+#include "util/string_util.h"
 
 namespace vkg::index {
 
@@ -534,6 +535,51 @@ IndexStats CrackingRTree::Stats() const {
   s.abandoned_cracks = abandoned_cracks_.load(std::memory_order_relaxed);
   s.crack_waits = crack_waits_.load(std::memory_order_relaxed);
   return s;
+}
+
+util::Status CrackingRTree::CheckInvariants() const {
+  ReadPin pin = PinForRead();
+  std::vector<bool> seen(points_->size(), false);
+  size_t covered = 0;
+  std::vector<const Node*> stack{&root()};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (n->kind == Node::Kind::kInternal) {
+      if (n->children.empty() || n->children.size() > config_.fanout) {
+        return util::Status::Internal(util::StrFormat(
+            "internal node has %zu children (fanout %zu)",
+            n->children.size(), config_.fanout));
+      }
+      for (const Node* c : n->children) {
+        if (!n->mbr.ContainsRect(c->mbr)) {
+          return util::Status::Internal(util::StrFormat(
+              "child MBR %s escapes its parent's MBR %s",
+              c->mbr.ToString().c_str(), n->mbr.ToString().c_str()));
+        }
+        stack.push_back(c);
+      }
+      continue;
+    }
+    for (uint32_t id : ElementIds(*n)) {
+      if (id >= seen.size() || seen[id]) {
+        return util::Status::Internal(util::StrFormat(
+            "point %u is out of range or in two contour elements", id));
+      }
+      seen[id] = true;
+      ++covered;
+      if (!n->mbr.Contains(points_->at(id))) {
+        return util::Status::Internal(util::StrFormat(
+            "point %u lies outside its element's MBR %s", id,
+            n->mbr.ToString().c_str()));
+      }
+    }
+  }
+  if (covered != points_->size()) {
+    return util::Status::Internal(util::StrFormat(
+        "contour holds %zu of %zu points", covered, points_->size()));
+  }
+  return util::Status::OK();
 }
 
 }  // namespace vkg::index

@@ -166,12 +166,14 @@ class CrackingRTree {
   }
 
   /// Monotone count of version publications (cracks that mutated the
-  /// tree, BuildFull): the tree's *crack generation*. A cached artifact
-  /// derived from version G is stale once crack_generation() != G — the
-  /// server's result cache stamps entries with this value and treats a
-  /// mismatch as an invalidating miss (DESIGN.md §6g). Bumped with a
-  /// release store immediately after the root swap, so a reader that
-  /// observes generation G also observes every publication up to G.
+  /// tree, BuildFull): the tree's *crack generation*. Structural
+  /// artifacts derived from version G (node pointers, contour shapes)
+  /// are stale once crack_generation() != G; query answers are not —
+  /// every exact answer meets the Theorem 2 bound on any version, so
+  /// the server's result cache keys on the data version instead
+  /// (DESIGN.md §6g). Bumped with a release store immediately after
+  /// the root swap, so a reader that observes generation G also
+  /// observes every publication up to G.
   uint64_t crack_generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -184,6 +186,14 @@ class CrackingRTree {
   const RTreeConfig& config() const { return config_; }
 
   IndexStats Stats() const;
+
+  /// Checks the structural invariants of the published version: every
+  /// point id lies in exactly one contour element and inside that
+  /// element's MBR, and every internal node has 1..fanout children whose
+  /// MBRs its own MBR contains. OK, or Internal naming the first
+  /// violation. Lock-free (pins the epoch), O(n); for tests and
+  /// post-storm audits, not the query path.
+  util::Status CheckInvariants() const;
 
   /// Persists the cracked structure (sort orders + node tree + config) so
   /// a warmed index survives restarts — the "fire off the first query

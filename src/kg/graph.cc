@@ -42,6 +42,7 @@ bool KnowledgeGraph::AddEdge(EntityId h, RelationId r, EntityId t) {
   if (!triples_.Add({h, r, t})) return false;
   InsertNeighbor(adjacency_[h].out, r, t);
   InsertNeighbor(adjacency_[t].in, r, h);
+  ++edge_version_;
   return true;
 }
 
@@ -52,6 +53,7 @@ std::vector<Triple> KnowledgeGraph::MaskRandomEdges(size_t count,
     EraseNeighbor(adjacency_[t.head].out, t.relation, t.tail);
     EraseNeighbor(adjacency_[t.tail].in, t.relation, t.head);
   }
+  if (!removed.empty()) ++edge_version_;
   return removed;
 }
 

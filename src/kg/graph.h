@@ -1,6 +1,7 @@
 #ifndef VKG_KG_GRAPH_H_
 #define VKG_KG_GRAPH_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -99,6 +100,12 @@ class KnowledgeGraph {
   /// Removes `count` random edges and returns them (held-out evaluation).
   std::vector<Triple> MaskRandomEdges(size_t count, util::Rng& rng);
 
+  /// Number of times the triple set changed: bumped by every AddEdge
+  /// that inserts and every MaskRandomEdges that removes. Anything
+  /// derived from E (the E'-only skip set of a query, hence a cached
+  /// answer) is current only while this value is unchanged.
+  uint64_t edge_version() const { return edge_version_; }
+
   size_t MemoryBytes() const;
 
  private:
@@ -126,6 +133,7 @@ class KnowledgeGraph {
   TripleStore triples_;
   std::vector<Adjacency> adjacency_;  // indexed by EntityId
   AttributeTable attributes_;
+  uint64_t edge_version_ = 0;
 };
 
 }  // namespace vkg::kg

@@ -216,7 +216,7 @@ std::string EncodeResponse(uint64_t request_id,
   if (response.meta.expired_in_queue) flags |= kMetaExpiredInQueue;
   if (response.meta.degraded_by_pressure) flags |= kMetaDegradedByPressure;
   w.PutU8(flags);
-  w.PutU64(response.meta.generation);
+  w.PutU64(response.meta.data_version);
   w.PutF64(response.meta.retry_after_ms);
   if (!response.ok()) return w.Take();
   if (kind == query::RequestKind::kTopK) {
@@ -248,7 +248,7 @@ util::Status DecodeResponse(std::string_view payload, uint64_t* request_id,
   const uint8_t kind = r.U8();
   const uint32_t shard = r.U32();
   const uint8_t flags = r.U8();
-  const uint64_t generation = r.U64();
+  const uint64_t data_version = r.U64();
   const double retry_after_ms = r.F64();
   if (!r.ok()) return r.status();
   if (code > static_cast<uint8_t>(util::StatusCode::kUnavailable)) {
@@ -270,7 +270,7 @@ util::Status DecodeResponse(std::string_view payload, uint64_t* request_id,
   response->meta.expired_in_queue = (flags & kMetaExpiredInQueue) != 0;
   response->meta.degraded_by_pressure =
       (flags & kMetaDegradedByPressure) != 0;
-  response->meta.generation = generation;
+  response->meta.data_version = data_version;
   response->meta.retry_after_ms = retry_after_ms;
   if (!response->ok()) {
     if (!r.AtEnd()) return Malformed("trailing bytes after error response");

@@ -34,21 +34,6 @@ struct BatchMetrics {
   }
 };
 
-// Queries outside the graph's id space would trip VKG_CHECK invariants
-// deep in the engines (process-fatal); reject them at the batch boundary
-// so a bad slot cannot take the whole batch down.
-util::Status ValidateAgainstGraph(const kg::KnowledgeGraph* graph,
-                                  const data::Query& query) {
-  if (graph == nullptr) return util::Status::OK();
-  if (query.anchor >= graph->num_entities()) {
-    return util::Status::InvalidArgument("query anchor out of range");
-  }
-  if (query.relation >= graph->num_relations()) {
-    return util::Status::InvalidArgument("query relation out of range");
-  }
-  return util::Status::OK();
-}
-
 void ConfigureContext(QueryContext& ctx, const BatchOptions& options) {
   ctx.control().set_deadline(options.deadline);
   ctx.control().set_cancel_token(options.cancel);
@@ -65,7 +50,10 @@ util::Result<ResultT> AnswerOne(const kg::KnowledgeGraph* graph,
   if (VKG_FAILPOINT("batch.query")) {
     return util::Status::Internal("injected failure: batch.query");
   }
-  VKG_RETURN_IF_ERROR(ValidateAgainstGraph(graph, query));
+  // Queries outside the graph's id space would trip VKG_CHECK
+  // invariants deep in the engines (process-fatal); reject them at the
+  // batch boundary so a bad slot cannot take the whole batch down.
+  VKG_RETURN_IF_ERROR(ValidateQuery(graph, query));
   ctx.control().ResetForQuery();
   try {
     return run();

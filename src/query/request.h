@@ -71,9 +71,10 @@ struct ServerMeta {
   /// Attached to an identical in-flight computation instead of
   /// computing again.
   bool coalesced = false;
-  /// Crack generation of the owning shard's tree that the answer is
-  /// valid for (the cache-invalidation stamp, DESIGN.md §6g).
-  uint64_t generation = 0;
+  /// VirtualKnowledgeGraph::data_version() read before the answer was
+  /// computed: the answer holds while the data version still equals it
+  /// (the cache stamp, DESIGN.md §6g).
+  uint64_t data_version = 0;
   /// For rejected requests: suggested back-off before retrying. One
   /// contract across every rejection path (asserted by
   /// tests/server_test.cc RetryAfterHintIsConsistent...):

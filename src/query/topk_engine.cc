@@ -59,9 +59,8 @@ TopKResult FinalizeHits(std::vector<std::pair<double, uint32_t>> pairs,
 
 }  // namespace
 
-util::Status ValidateQuery(const TopKEngine& engine,
+util::Status ValidateQuery(const kg::KnowledgeGraph* graph,
                            const data::Query& query) {
-  const kg::KnowledgeGraph* graph = engine.graph();
   if (graph == nullptr) return util::Status::OK();
   if (query.anchor >= graph->num_entities()) {
     return util::Status::InvalidArgument(

@@ -70,8 +70,8 @@ class TopKEngine {
   virtual bool SupportsConcurrentQueries() const { return true; }
 
   /// The knowledge graph the engine answers over (null only for engines
-  /// without one; used by ValidateQuery / the batch executor to reject
-  /// malformed queries before they reach the hot path).
+  /// without one; the batch executor passes it to ValidateQuery to
+  /// reject malformed queries before they reach the hot path).
   virtual const kg::KnowledgeGraph* graph() const { return nullptr; }
 
   /// Method label for reports.
@@ -79,9 +79,9 @@ class TopKEngine {
 };
 
 /// InvalidArgument when `query` references an entity or relation outside
-/// the engine's graph (such ids would trip internal invariants deep in
-/// the query path). OK for engines that expose no graph.
-util::Status ValidateQuery(const TopKEngine& engine,
+/// `graph` (such ids would trip internal invariants deep in the query
+/// path). OK when `graph` is null (engines that expose no graph).
+util::Status ValidateQuery(const kg::KnowledgeGraph* graph,
                            const data::Query& query);
 
 /// The no-index baseline: exact scan in S1 (also the precision@K ground

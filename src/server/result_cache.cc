@@ -7,17 +7,17 @@ ResultCache::ResultCache(size_t max_bytes, size_t max_entries)
       lru_(max_entries, enabled_ ? max_bytes : 1) {}
 
 std::optional<ResultCache::Entry> ResultCache::Lookup(
-    const query::QueryKey& key, uint64_t current_generation) {
+    const query::QueryKey& key, uint64_t data_version) {
   if (!enabled_) return std::nullopt;
   std::optional<Entry> entry = lru_.Get(key);
   if (!entry.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (entry->generation != current_generation) {
-    // Stale under the invalidation contract: a publication on this
-    // shard's tree happened after the entry was stamped. Never serve
-    // it; evict so the slot is reusable immediately.
+  if (entry->data_version != data_version) {
+    // Stale under the invalidation contract: the data changed after
+    // the entry was computed. Never serve it; evict so the slot is
+    // reusable immediately.
     lru_.Erase(key);
     invalidated_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -29,22 +29,11 @@ std::optional<ResultCache::Entry> ResultCache::Lookup(
 
 void ResultCache::Store(const query::QueryKey& key,
                         const query::TopKResult& result,
-                        uint64_t generation) {
+                        uint64_t data_version) {
   if (!enabled_) return;
   if (!result.quality.exact) return;  // never replay degraded answers
-  lru_.Put(key, Entry{result, generation}, EntryBytes(result));
+  lru_.Put(key, Entry{result, data_version}, EntryBytes(result));
   stores_.fetch_add(1, std::memory_order_relaxed);
-}
-
-size_t ResultCache::InvalidateStale(uint64_t current_generation) {
-  if (!enabled_) return 0;
-  const size_t removed =
-      lru_.EraseIf([current_generation](const query::QueryKey&,
-                                        const Entry& entry) {
-        return entry.generation != current_generation;
-      });
-  invalidated_.fetch_add(removed, std::memory_order_relaxed);
-  return removed;
 }
 
 size_t ResultCache::SetByteBudget(size_t max_bytes) {

@@ -12,17 +12,17 @@
 namespace vkg::server {
 
 /// One shard's segment of the server's result cache: a bounded LRU of
-/// exact top-k results, each stamped with the crack generation of the
-/// owning shard's tree it was computed against (DESIGN.md §6g).
+/// exact top-k results, each stamped with the data version
+/// (VirtualKnowledgeGraph::data_version()) read before it was computed
+/// (DESIGN.md §6g).
 ///
 /// Invalidation contract: an entry is served only while its stamp
-/// equals the tree's *current* crack generation. A crack publication
-/// bumps the generation, so every entry stamped earlier becomes
-/// unservable at that instant — Lookup() treats it as a miss and
-/// erases it (lazy), and InvalidateStale() sweeps a whole segment
-/// (eager, called by the shard right after it observes a bump). Only
-/// entries of the shard whose tree published are touched: segments are
-/// per-shard, so "evict exactly the stale entries" is structural.
+/// equals the *current* data version. An embedding update or a change
+/// to the graph's edge set moves the version, so every entry stamped
+/// earlier becomes unservable at that instant — Lookup() treats it as
+/// a miss, erases it, and counts it invalidated. Cracks do not touch
+/// the version: every exact answer meets the Theorem 2 bound whichever
+/// tree version produced it, so a refined tree retires nothing.
 ///
 /// Only *exact* results (quality.exact, no stop reason) are stored:
 /// degraded answers depend on the requester's deadline/budget and must
@@ -33,7 +33,7 @@ class ResultCache {
  public:
   struct Entry {
     query::TopKResult result;
-    uint64_t generation = 0;
+    uint64_t data_version = 0;
   };
 
   /// `max_bytes` == 0 disables the cache entirely (Lookup always
@@ -42,19 +42,16 @@ class ResultCache {
 
   bool enabled() const { return enabled_; }
 
-  /// The entry under `key` if present AND stamped `current_generation`;
-  /// a stale entry is erased and counted as an invalidation + miss.
+  /// The entry under `key` if present AND stamped `data_version`; a
+  /// stale entry is erased and counted as an invalidation + miss.
   std::optional<Entry> Lookup(const query::QueryKey& key,
-                              uint64_t current_generation);
+                              uint64_t data_version);
 
-  /// Stores an exact result stamped `generation`. Degraded results are
-  /// ignored (see class comment).
+  /// Stores an exact result stamped `data_version`, which the caller
+  /// read *before* computing it. Degraded results are ignored (see
+  /// class comment).
   void Store(const query::QueryKey& key, const query::TopKResult& result,
-             uint64_t generation);
-
-  /// Erases every entry whose stamp differs from `current_generation`.
-  /// Returns the number evicted (counted as invalidations).
-  size_t InvalidateStale(uint64_t current_generation);
+             uint64_t data_version);
 
   /// Re-bounds this segment's byte budget and evicts cold entries until
   /// it holds — the memory-pressure shrink/restore path (DESIGN.md
@@ -67,7 +64,7 @@ class ResultCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t stores = 0;
-    uint64_t invalidated = 0;  // generation-stamp evictions (lazy+eager)
+    uint64_t invalidated = 0;  // data-version-stamp evictions
     uint64_t evictions = 0;    // capacity-driven LRU evictions
     size_t entries = 0;
     size_t bytes = 0;

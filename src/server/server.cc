@@ -159,10 +159,6 @@ size_t VkgServer::ShardOf(const data::Query& query) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-uint64_t VkgServer::ShardGeneration(size_t shard) const {
-  return shards_[shard]->generation();
-}
-
 query::QueryKey VkgServer::MakeKey(
     const query::ServerRequest& request) const {
   const data::Query& q = request.routing_query();
@@ -257,11 +253,11 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   }
   const bool pressure_degrade = pressure >= PressureLevel::kDegraded;
 
-  // 3. Route to the owning shard, then validate against its engine.
+  // 3. Route to the owning shard, then validate against the graph.
   const size_t shard_index = ShardOf(request.routing_query());
   Shard& shard = *shards_[shard_index];
   util::Status valid =
-      query::ValidateQuery(shard.topk_engine(), request.routing_query());
+      query::ValidateQuery(&vkg_->graph(), request.routing_query());
   if (valid.ok() && request.kind == query::RequestKind::kTopK &&
       request.k == 0) {
     valid = util::Status::InvalidArgument("k must be >= 1");
@@ -338,9 +334,8 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
 
   const query::QueryKey key = MakeKey(request);
 
-  // 7. Result cache, guarded by the shard tree's crack generation. The
-  // injected cache fault (`server.cache`) poisons exactly this
-  // request's lookup.
+  // 7. Result cache, guarded by the VKG's data version. The injected
+  // cache fault (`server.cache`) poisons exactly this request's lookup.
   if (VKG_FAILPOINT("server.cache")) {
     shard.ReleaseSlot();
     return ImmediateTicket(MakeErrorResponse(
@@ -348,7 +343,7 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   }
   if (!request.bypass_cache) {
     std::optional<ResultCache::Entry> hit =
-        shard.cache().Lookup(key, shard.generation());
+        shard.cache().Lookup(key, vkg_->data_version());
     if (hit.has_value()) {
       shard.ReleaseSlot();
       metrics.cache_hits.Inc();
@@ -358,7 +353,7 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
       response.topk = std::move(hit->result);
       response.meta.shard = shard_index;
       response.meta.cache_hit = true;
-      response.meta.generation = hit->generation;
+      response.meta.data_version = hit->data_version;
       return ImmediateTicket(std::move(response));
     }
     metrics.cache_misses.Inc();
@@ -550,6 +545,7 @@ ServerStats VkgServer::Stats() const {
   stats.pressure_degraded =
       pressure_degraded_.load(std::memory_order_relaxed);
   stats.memory = memory_budget_.stats();
+  const uint64_t index_generation = vkg_->rtree().crack_generation();
   stats.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ServerStats::ShardView view;
@@ -557,7 +553,7 @@ ServerStats VkgServer::Stats() const {
     view.depth = shard->depth();
     view.peak_depth = shard->peak_depth();
     view.in_flight = shard->in_flight();
-    view.generation = shard->generation();
+    view.generation = index_generation;
     view.cache = shard->cache().stats();
     view.breaker = shard->breaker().stats();
     stats.cache_hits += view.cache.hits;
@@ -573,6 +569,10 @@ void VkgServer::PublishStats() const {
   reg.GetGauge("vkg_server_shards").Set(static_cast<double>(shards_.size()));
   reg.GetGauge("vkg_server_memory_pressure")
       .Set(static_cast<double>(memory_budget_.level()));
+  reg.GetGauge("vkg_server_index_generation")
+      .Set(static_cast<double>(vkg_->rtree().crack_generation()));
+  reg.GetGauge("vkg_server_data_version")
+      .Set(static_cast<double>(vkg_->data_version()));
   uint64_t trips = 0;
   uint64_t recoveries = 0;
   uint64_t fast_fails = 0;
@@ -589,8 +589,6 @@ void VkgServer::PublishStats() const {
         .Set(static_cast<double>(shard->depth()));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_peak_depth", i))
         .Set(static_cast<double>(shard->peak_depth()));
-    reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_generation", i))
-        .Set(static_cast<double>(shard->generation()));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_cache_entries", i))
         .Set(static_cast<double>(cache.entries));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_cache_bytes", i))

@@ -23,8 +23,9 @@ namespace vkg::server {
 /// Configuration of a VkgServer (DESIGN.md §6g).
 struct ServerConfig {
   /// Worker shards. Requests route by hash(anchor, relation), so one
-  /// (h, r) slot always lands on the same shard — its cracked regions,
-  /// cache entries and in-flight computations are all local.
+  /// (h, r) slot always lands on the same shard — its cache entries and
+  /// in-flight computations are local. Every shard cracks the facade's
+  /// one index.
   size_t shards = 2;
   /// Worker threads per shard (each shard owns its pool).
   size_t threads_per_shard = 1;
@@ -78,7 +79,7 @@ struct ServerStats {
   uint64_t coalesced = 0;          // attached to an in-flight duplicate
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  uint64_t cache_invalidated = 0;  // generation-stamp evictions
+  uint64_t cache_invalidated = 0;  // data-version-stamp evictions
   uint64_t computed_topk = 0;      // actual engine computations
   uint64_t computed_aggregate = 0;
   /// Requests whose deadline expired while still queued: failed with
@@ -96,6 +97,8 @@ struct ServerStats {
     size_t depth = 0;
     size_t peak_depth = 0;
     size_t in_flight = 0;
+    /// crack_generation() of the facade's tree, which every shard
+    /// shares (the same value in every view).
     uint64_t generation = 0;
     ResultCache::Stats cache;
     CircuitBreaker::Stats breaker;
@@ -112,14 +115,14 @@ struct ServerStats {
 ///          -> memory pressure (shed lowest priority at kShedding)
 ///          -> route (hash(anchor, relation) -> shard) -> validate
 ///          -> backpressure (bounded shard depth)
-///          -> result cache (generation-checked; hits bypass the
+///          -> result cache (data-versioned; hits bypass the
 ///             breaker — an Open shard still serves cached results)
 ///          -> circuit breaker (Open shards fast-fail compute-bound
 ///             work, DESIGN.md §6h)
 ///          -> coalesce (attach to identical in-flight computation)
-///          -> shard worker pool -> queue-expiry check -> engine
-///             compute (absolute deadline stamped at admission)
-///             -> cache store -> breaker outcome
+///          -> shard worker pool -> queue-expiry check -> facade
+///             TopK / Aggregate (absolute deadline stamped at
+///             admission) -> cache store -> breaker outcome
 ///
 /// and every early exit (rejection, cache hit, validation error)
 /// resolves the returned Ticket immediately. All submission-side steps
@@ -127,9 +130,13 @@ struct ServerStats {
 /// owning shard's pool. Safe for concurrent Submit/Execute from any
 /// number of threads.
 ///
-/// The server holds shared ownership of the VKG; callers must not run
-/// CompactUpdates / LoadIndex on it while the server is serving (the
-/// shards' engines read its points and embeddings lock-free).
+/// The server holds shared ownership of the VKG and answers through
+/// it, so requests see the facade's index, method and embedding
+/// overlay. Mutations (UpdateEntityEmbedding, AddEdge on the graph,
+/// CompactUpdates, LoadIndex) must not run while requests are in
+/// flight: Drain() first. The embedding and graph mutations move the
+/// VKG's data_version(), which retires every cached answer computed
+/// before them.
 class VkgServer {
  public:
   static util::Result<std::unique_ptr<VkgServer>> Create(
@@ -179,9 +186,6 @@ class VkgServer {
   size_t ShardOf(const data::Query& query) const;
   size_t num_shards() const { return shards_.size(); }
 
-  /// Crack generation of one shard's tree (cache-invalidation stamp).
-  uint64_t ShardGeneration(size_t shard) const;
-
   /// The cache/coalescing key `request` computes under (tests, benches).
   query::QueryKey MakeKey(const query::ServerRequest& request) const;
 
@@ -210,8 +214,9 @@ class VkgServer {
 
   ServerStats Stats() const;
 
-  /// Mirrors per-shard depth/generation/cache gauges into the global
-  /// obs registry (vkg_server_*; cold path, call before scraping).
+  /// Mirrors per-shard depth/cache/breaker gauges, the index generation
+  /// and the data version into the global obs registry (vkg_server_*;
+  /// cold path, call before scraping).
   void PublishStats() const;
 
   const ServerConfig& config() const { return config_; }

@@ -11,26 +11,12 @@ namespace vkg::server {
 Shard::Shard(size_t id, const core::VirtualKnowledgeGraph& vkg,
              const ShardOptions& options)
     : id_(id),
+      vkg_(vkg),
       options_(options),
       cache_(options.cache_bytes, options.cache_entries),
-      breaker_(options.breaker) {
-  // Each shard cracks its own tree over the shared (immutable) S2
-  // points: queries routed here refine only this tree, so shards never
-  // contend on a crack mutex and this tree's generation is exactly
-  // "publications caused by this shard's traffic".
-  tree_ = std::make_unique<index::CrackingRTree>(&vkg.points_s2(),
-                                                 vkg.options().rtree);
-  topk_engine_ = std::make_unique<query::RTreeTopKEngine>(
-      &vkg.graph(), &vkg.embeddings(), &vkg.jl(), tree_.get(),
-      vkg.options().eps,
-      /*crack_after_query=*/true, util::StrFormat("server-shard-%zu", id));
-  aggregate_engine_ = std::make_unique<query::AggregateEngine>(
-      &vkg.graph(), &vkg.embeddings(), &vkg.jl(), tree_.get(),
-      vkg.options().eps,
-      /*crack_after_query=*/true);
-  pool_ = std::make_unique<util::ThreadPool>(
-      options.threads == 0 ? 1 : options.threads);
-}
+      breaker_(options.breaker),
+      pool_(std::make_unique<util::ThreadPool>(
+          options.threads == 0 ? 1 : options.threads)) {}
 
 bool Shard::TryReserveSlot() {
   size_t cur = depth_.load(std::memory_order_relaxed);
@@ -115,15 +101,13 @@ query::ServerResponse Shard::ComputeTopK(const query::ServerRequest& request,
       response.meta.degraded_by_pressure =
           ForcePressureBudget(options_.pressure_budget, ctx);
     }
-    response.topk = topk_engine_->TopKQuery(request.query, request.k, ctx);
-    // Stamp with the generation current at completion. The query's own
-    // crack (if any) published *before* this read, so the entry is
-    // fresh unless a later publication bumps the generation — at which
-    // point the invalidation contract retires it.
-    response.meta.generation = tree_->crack_generation();
+    // Read the version before computing: a change that lands mid-query
+    // leaves the entry stamped with the older version, so the next
+    // lookup retires it instead of serving it.
+    response.meta.data_version = vkg_.data_version();
+    response.topk = vkg_.TopK(request.query, request.k, ctx);
     response.status = util::Status::OK();
-    cache_.Store(key, response.topk, response.meta.generation);
-    SweepStaleCacheEntries();
+    cache_.Store(key, response.topk, response.meta.data_version);
   } catch (const std::bad_alloc&) {
     response.status =
         util::Status::ResourceExhausted("allocation failed during top-k");
@@ -147,16 +131,15 @@ query::ServerResponse Shard::ComputeAggregate(
       response.meta.degraded_by_pressure =
           ForcePressureBudget(options_.pressure_budget, ctx);
     }
+    response.meta.data_version = vkg_.data_version();
     util::Result<query::AggregateResult> result =
-        aggregate_engine_->Aggregate(request.aggregate, ctx);
-    response.meta.generation = tree_->crack_generation();
+        vkg_.Aggregate(request.aggregate, ctx);
     if (result.ok()) {
       response.aggregate = std::move(result).value();
       response.status = util::Status::OK();
     } else {
       response.status = result.status();
     }
-    SweepStaleCacheEntries();
   } catch (const std::bad_alloc&) {
     response.status = util::Status::ResourceExhausted(
         "allocation failed during aggregate");
@@ -165,19 +148,6 @@ query::ServerResponse Shard::ComputeAggregate(
         util::StrFormat("aggregate computation failed: %s", e.what()));
   }
   return response;
-}
-
-void Shard::SweepStaleCacheEntries() {
-  const uint64_t current = tree_->crack_generation();
-  uint64_t seen = swept_generation_.load(std::memory_order_relaxed);
-  if (seen == current) return;
-  // One sweeper per bump is enough; racers that lose simply skip (the
-  // lazy Lookup check still guards every read).
-  if (!swept_generation_.compare_exchange_strong(
-          seen, current, std::memory_order_relaxed)) {
-    return;
-  }
-  cache_.InvalidateStale(current);
 }
 
 }  // namespace vkg::server

@@ -9,10 +9,7 @@
 #include <unordered_map>
 
 #include "core/virtual_graph.h"
-#include "index/cracking_rtree.h"
-#include "query/aggregate_engine.h"
 #include "query/request.h"
-#include "query/topk_engine.h"
 #include "server/health.h"
 #include "server/result_cache.h"
 #include "util/deadline.h"
@@ -35,36 +32,34 @@ struct ShardOptions {
   util::ResourceBudget pressure_budget;
 };
 
-/// One worker shard of the query server (DESIGN.md §6g). A shard owns
-/// everything a request needs after routing:
+/// One worker shard of the query server (DESIGN.md §6g). A shard holds
+/// only what isolates it from its siblings:
 ///
-///  * its *own* CrackingRTree over the VKG's shared S2 point set, plus
-///    top-k and aggregate engines bound to it — shards crack
-///    independently, so two shards never contend on a crack mutex and a
-///    shard's crack generation moves only when *its* queries crack;
 ///  * its own util::ThreadPool (bounded by queue_capacity through the
-///    server's depth accounting);
-///  * one ResultCache segment, invalidated by this tree's generation;
+///    server's depth accounting) and circuit breaker;
+///  * one ResultCache segment, stamped with the VKG's data version;
 ///  * the in-flight coalescing map: duplicate (h, r, k) requests
 ///    submitted while an identical computation is pending attach to its
 ///    shared future instead of computing again.
 ///
+/// It computes through the facade (VirtualKnowledgeGraph's
+/// context-taking TopK / Aggregate), so every shard and the facade
+/// crack the one index, use the configured method, and see pending
+/// embedding updates.
+///
 /// Thread safety: Compute* run on pool workers (thread-local
 /// QueryContext per worker); the coalescing map and cache are
-/// internally locked; the tree is lock-free for readers and serializes
-/// its own cracks.
+/// internally locked; the facade's tree is lock-free for readers and
+/// serializes its own cracks.
 class Shard {
  public:
   Shard(size_t id, const core::VirtualKnowledgeGraph& vkg,
         const ShardOptions& options);
 
   size_t id() const { return id_; }
-  uint64_t generation() const { return tree_->crack_generation(); }
-  const query::TopKEngine& topk_engine() const { return *topk_engine_; }
   ResultCache& cache() { return cache_; }
   util::ThreadPool& pool() { return *pool_; }
   CircuitBreaker& breaker() { return breaker_; }
-  index::IndexStats TreeStats() const { return tree_->Stats(); }
 
   // --- Depth accounting (the server's backpressure bound) -----------------
 
@@ -95,13 +90,13 @@ class Shard {
 
   // --- Compute (worker-thread side) ---------------------------------------
 
-  /// Answers a top-k request on this shard's engine, stamps the
-  /// response with the tree generation current at completion, and
-  /// populates the cache under `key` (exact results only). `deadline`
-  /// is the request's *absolute* end-to-end deadline (stamped at
-  /// admission — queue wait has already burned part of it);
-  /// `pressure_degrade` forces the shard's pressure budget onto
-  /// otherwise-unlimited queries (DESIGN.md §6h).
+  /// Answers a top-k request through the facade, stamps the response
+  /// with the data version read *before* computing, and populates the
+  /// cache under `key` (exact results only). `deadline` is the
+  /// request's *absolute* end-to-end deadline (stamped at admission —
+  /// queue wait has already burned part of it); `pressure_degrade`
+  /// forces the shard's pressure budget onto otherwise-unlimited
+  /// queries (DESIGN.md §6h).
   query::ServerResponse ComputeTopK(const query::ServerRequest& request,
                                     const query::QueryKey& key,
                                     util::Deadline deadline,
@@ -112,29 +107,25 @@ class Shard {
                                          util::Deadline deadline,
                                          bool pressure_degrade);
 
-  /// Eagerly sweeps this shard's cache segment when the tree generation
-  /// moved past the last observed one. Cheap no-op otherwise.
-  void SweepStaleCacheEntries();
-
  private:
   const size_t id_;
+  const core::VirtualKnowledgeGraph& vkg_;
   const ShardOptions options_;
 
-  std::unique_ptr<index::CrackingRTree> tree_;
-  std::unique_ptr<query::RTreeTopKEngine> topk_engine_;
-  std::unique_ptr<query::AggregateEngine> aggregate_engine_;
-  std::unique_ptr<util::ThreadPool> pool_;
   ResultCache cache_;
   CircuitBreaker breaker_;
 
   std::atomic<size_t> depth_{0};
   std::atomic<size_t> peak_depth_{0};
-  std::atomic<uint64_t> swept_generation_{0};
 
   mutable std::mutex inflight_mu_;
   std::unordered_map<query::QueryKey, std::shared_ptr<InFlight>,
                      query::QueryKeyHash>
       inflight_;
+
+  // Last, so the workers are joined before the state their tasks touch
+  // is destroyed.
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace vkg::server

@@ -20,7 +20,7 @@ struct LruCacheStats {
   uint64_t misses = 0;
   uint64_t inserts = 0;
   uint64_t updates = 0;    // Put over an existing key
-  uint64_t evictions = 0;  // capacity-driven removals (not Erase/EraseIf)
+  uint64_t evictions = 0;  // capacity-driven removals (not Erase)
 };
 
 /// A bounded, thread-safe least-recently-used cache: the building block
@@ -95,23 +95,6 @@ class LruCache {
     if (it == map_.end()) return false;
     RemoveEntry(it->second);
     return true;
-  }
-
-  /// Removes every entry for which `pred(key, value)` is true (the
-  /// server's crack-generation invalidation sweep). Returns the number
-  /// removed. Not counted as evictions.
-  size_t EraseIf(const std::function<bool(const K&, const V&)>& pred) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t removed = 0;
-    for (auto it = lru_.begin(); it != lru_.end();) {
-      auto next = std::next(it);
-      if (pred(it->key, it->value)) {
-        RemoveEntry(it);
-        ++removed;
-      }
-      it = next;
-    }
-    return removed;
   }
 
   void Clear() {

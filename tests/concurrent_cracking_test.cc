@@ -122,6 +122,13 @@ class ConcurrentCrackingTest : public ::testing::Test {
     }
   }
 
+  // However the storm interleaved its cracks, the published version
+  // must still be a well-formed tree.
+  static void ExpectTreeInvariants(const index::CrackingRTree& tree) {
+    const util::Status invariants = tree.CheckInvariants();
+    EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  }
+
   static data::Dataset* ds_;
   static std::vector<data::Query>* workload_;
 };
@@ -142,6 +149,7 @@ TEST_F(ConcurrentCrackingTest, StormMatchesSequentialOracle) {
   Rig shared(*ds_);
   std::vector<TopKResult> got = Storm(shared, ChaosThreads(), 10);
   ExpectSameAnswers(got, want);
+  ExpectTreeInvariants(shared.tree);
 
   index::IndexStats stats = shared.tree.Stats();
   EXPECT_GT(stats.crack_publishes, 0u);
@@ -175,6 +183,7 @@ TEST_F(ConcurrentCrackingTest, StormSurvivesFailpointsArmedMidStorm) {
 
   // Abandoned cracks leave a less-refined tree, never a wrong one.
   ExpectSameAnswers(got, want);
+  ExpectTreeInvariants(shared.tree);
 }
 
 TEST_F(ConcurrentCrackingTest, DeadlineStormDegradesInsteadOfStalling) {
@@ -240,6 +249,7 @@ TEST_F(ConcurrentCrackingTest, DeadlineStormDegradesInsteadOfStalling) {
   // Most 2ms queries get past the first pop; require that the property
   // was actually exercised, not that every query certified something.
   EXPECT_GT(checked.load(), 0u);
+  ExpectTreeInvariants(shared.tree);
 }
 
 TEST_F(ConcurrentCrackingTest, MixedTopKAndAggregateStorm) {
@@ -275,6 +285,7 @@ TEST_F(ConcurrentCrackingTest, MixedTopKAndAggregateStorm) {
   }
   for (std::thread& th : crew) th.join();
   EXPECT_EQ(agg_failures.load(), 0u);
+  ExpectTreeInvariants(shared.tree);
 }
 
 // Lower half of the tree's bounding box along dim 0: guaranteed to hold
@@ -403,6 +414,7 @@ TEST_F(ConcurrentCrackingTest, SnapshotsHeldAcrossQueriesStaySane) {
   stop.store(true);
   for (std::thread& th : crew) th.join();
   EXPECT_GT(snapshots_checked.load(), 0u);
+  ExpectTreeInvariants(rig.tree);
 
   // Pins are all released: retirement must be able to drain. (Advance
   // twice: items retired in the current epoch need two steps to age out.)

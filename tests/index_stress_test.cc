@@ -99,22 +99,10 @@ TEST_P(IndexStressTest, LongCrackSearchSequence) {
     ASSERT_EQ(got, expected) << "step " << step;
   }
 
-  // Invariants at the end: contour partitions everything exactly once.
-  std::set<uint32_t> seen;
-  std::vector<const Node*> stack{&tree.root()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->kind == Node::Kind::kInternal) {
-      EXPECT_LE(n->children.size(), p.fanout);
-      for (const auto* c : n->children) stack.push_back(c);
-      continue;
-    }
-    for (uint32_t id : tree.ElementIds(*n)) {
-      ASSERT_TRUE(seen.insert(id).second);
-    }
-  }
-  EXPECT_EQ(seen.size(), ps.size());
+  // Invariants at the end: the contour partitions everything exactly
+  // once, within bounded fanout and nested MBRs.
+  const util::Status invariants = tree.CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 }
 
 TEST_P(IndexStressTest, PersistenceMidSequence) {
@@ -147,6 +135,8 @@ TEST_P(IndexStressTest, PersistenceMidSequence) {
     tree->Search(region, [&](uint32_t id) { got.insert(id); });
     ASSERT_EQ(got, expected);
   }
+  const util::Status invariants = tree->CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
   std::remove(path.c_str());
 }
 

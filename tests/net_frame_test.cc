@@ -290,7 +290,7 @@ TEST(WireCodec, ResponseRoundTrip) {
   query::ServerResponse response;
   response.meta.shard = 2;
   response.meta.cache_hit = true;
-  response.meta.generation = 7;
+  response.meta.data_version = 7;
   query::TopKHit hit;
   hit.entity = 42;
   hit.distance = 1.5;

@@ -132,6 +132,11 @@ TEST_F(ServerChaosTest, SeededCampaignHoldsEveryInvariant) {
   // must still resolve definitively instead of hanging.
   query::ServerResponse late = srv->Execute(Slots()[0]);
   EXPECT_EQ(late.status.code(), util::StatusCode::kUnavailable);
+
+  // Every shard worker cracked the facade's one tree throughout the
+  // campaign; it must still be well formed.
+  const util::Status invariants = srv->vkg().rtree().CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 }
 
 // Different seeds arm different schedules; the invariants are

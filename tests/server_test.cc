@@ -1,15 +1,18 @@
 // Server-grade battery for the sharded in-process query server
 // (DESIGN.md §6g): an N-thread mixed top-k/aggregate storm checked
 // against a sequential oracle, bit-identical cache hits, the
-// generation-invalidation contract ("no cache entry survives a crack
-// publication"), deterministic duplicate coalescing, admission control,
-// backpressure, and per-request failpoint isolation. Runs under TSan
-// and ASan in CI; VKG_CHAOS_THREADS sweeps the client count.
+// data-version contract (a crack retires no cached answer; an embedding
+// update or a new fact retires every older one), shards answering
+// through the facade's one index and overlay, deterministic duplicate
+// coalescing, admission control, backpressure, and per-request
+// failpoint isolation. Runs under TSan and ASan in CI;
+// VKG_CHAOS_THREADS sweeps the client count.
 //
-// The load-bearing invariant is inherited from the engines: cracking
-// refines *cost*, never *answers* — so whatever mix of cache hits,
-// coalesced attachments, and fresh computations a storm produces, every
-// response must equal the sequential oracle's answer for that query.
+// The load-bearing invariant is inherited from the engines: every
+// exact answer meets the Theorem 2 bound whatever the tree's shape, so
+// whatever mix of cache hits, coalesced attachments, and fresh
+// computations a storm produces, every response must equal the
+// sequential oracle's answer for that query.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,10 @@
 #include "core/virtual_graph.h"
 #include "data/movielens_gen.h"
 #include "data/workload.h"
+#include "embedding/vector_ops.h"
+#include "kg/graph.h"
 #include "obs/metrics.h"
+#include "query/exclusion.h"
 #include "query/request.h"
 #include "server/server.h"
 #include "util/failpoint.h"
@@ -61,20 +67,67 @@ class ServerTest : public ::testing::Test {
   }
   void TearDown() override { util::FailPointRegistry::Instance().Clear(); }
 
-  // A fresh server over a fresh VKG (each gets its own shard trees, so
-  // tests start from the uncracked state).
-  static std::unique_ptr<VkgServer> MakeServer(const ServerConfig& config) {
+  // A fresh VKG over `graph` (the shared dataset graph by default), so
+  // tests start from an uncracked index.
+  static std::shared_ptr<core::VirtualKnowledgeGraph> MakeVkg(
+      const kg::KnowledgeGraph* graph = nullptr) {
     core::VkgOptions options;
     options.method = index::MethodKind::kCracking;
     embedding::EmbeddingStore copy = ds_->embeddings;
     auto vkg = core::VirtualKnowledgeGraph::BuildWithEmbeddings(
-        &ds_->graph, std::move(copy), options);
+        graph != nullptr ? graph : &ds_->graph, std::move(copy), options);
     EXPECT_TRUE(vkg.ok());
-    auto srv = VkgServer::Create(
-        std::shared_ptr<core::VirtualKnowledgeGraph>(std::move(vkg.value())),
-        config);
+    return std::move(vkg.value());
+  }
+
+  // A server over `vkg`, or over a fresh VKG when none is given.
+  static std::unique_ptr<VkgServer> MakeServer(
+      const ServerConfig& config,
+      std::shared_ptr<core::VirtualKnowledgeGraph> vkg = nullptr) {
+    if (vkg == nullptr) vkg = MakeVkg();
+    auto srv = VkgServer::Create(std::move(vkg), config);
     EXPECT_TRUE(srv.ok());
     return std::move(srv.value());
+  }
+
+  // Moves the entity farthest from `q`'s query center (among those `q`
+  // may return) onto that center, so it must rank first with distance
+  // 0 — and an index search that ignored the overlay would never reach
+  // it at its stale position. Returns the moved entity.
+  static kg::EntityId MoveFarthestOntoQuery(core::VirtualKnowledgeGraph& vkg,
+                                            const data::Query& q) {
+    const std::vector<float> center = vkg.embeddings().QueryCenter(
+        q.anchor, q.relation, q.direction);
+    const query::Exclusion exclusion(vkg.graph(), q);
+    kg::EntityId farthest = kg::kInvalidEntity;
+    double farthest_distance = -1.0;
+    for (kg::EntityId e = 0; e < vkg.embeddings().num_entities(); ++e) {
+      if (exclusion.Contains(e)) continue;
+      const double d =
+          embedding::L2Distance(vkg.embeddings().Entity(e), center);
+      if (d > farthest_distance) {
+        farthest_distance = d;
+        farthest = e;
+      }
+    }
+    EXPECT_TRUE(vkg.UpdateEntityEmbedding(farthest, center).ok());
+    return farthest;
+  }
+
+  // A cache hit replays the stored computation's bytes: bit-identical,
+  // not approximately equal.
+  static void ExpectBitIdentical(const query::TopKResult& got,
+                                 const query::TopKResult& want) {
+    ASSERT_EQ(got.hits.size(), want.hits.size());
+    for (size_t h = 0; h < got.hits.size(); ++h) {
+      EXPECT_EQ(got.hits[h].entity, want.hits[h].entity);
+      EXPECT_EQ(std::memcmp(&got.hits[h].distance, &want.hits[h].distance,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&got.hits[h].probability,
+                            &want.hits[h].probability, sizeof(double)),
+                0);
+    }
   }
 
   // The storm's deterministic request mix: every 5th slot is a COUNT
@@ -183,19 +236,21 @@ TEST_F(ServerTest, StormMatchesSequentialOracle) {
     }
   }
 
-  // Post-storm verification pass (single-threaded, nothing cracks on a
-  // cache hit): any hit served now must be stamped with the shard's
-  // *current* generation — a stale stamp would mean the invalidation
-  // contract let an old entry survive a publication.
+  // Post-storm verification pass: any hit served now must be stamped
+  // with the *current* data version — a stale stamp would mean the
+  // invalidation contract let an old entry survive a data change.
   for (size_t i = 0; i < workload_->size(); ++i) {
     query::ServerResponse r = srv->Execute(RequestFor(i));
     ASSERT_TRUE(r.ok());
     if (r.meta.cache_hit) {
-      EXPECT_EQ(r.meta.generation, srv->ShardGeneration(r.meta.shard))
-          << "slot " << i << " served a stale-generation entry";
+      EXPECT_EQ(r.meta.data_version, srv->vkg().data_version())
+          << "slot " << i << " served a stale-version entry";
     }
     ExpectSameAnswer(r, oracle[i], i);
   }
+  // Every shard worker cracked the one facade tree concurrently.
+  const util::Status invariants = srv->vkg().rtree().CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
   srv->Drain();  // workers release their slots after fulfilling promises
   ServerStats stats = srv->Stats();
@@ -218,69 +273,146 @@ TEST_F(ServerTest, CacheHitsAreBitIdentical) {
   ServerConfig config;
   config.shards = 1;
   auto srv = MakeServer(config);
-  query::ServerResponse computed;
-  query::ServerResponse hit;
-  bool got_hit = false;
-  // Early passes may recompute (their own crack bumps the generation
-  // and retires the entry); once the region stops cracking the next
-  // request hits.
-  for (int attempt = 0; attempt < 16 && !got_hit; ++attempt) {
-    query::ServerResponse r = srv->Execute(RequestFor(0));
-    ASSERT_TRUE(r.ok());
-    if (r.meta.cache_hit) {
-      hit = r;
-      got_hit = true;
-    } else {
-      computed = r;
-    }
-  }
-  ASSERT_TRUE(got_hit) << "no cache hit after 16 attempts";
-  ASSERT_EQ(hit.topk.hits.size(), computed.topk.hits.size());
-  for (size_t h = 0; h < hit.topk.hits.size(); ++h) {
-    // Bit-identical, not approximately equal: a hit replays the stored
-    // computation's bytes.
-    EXPECT_EQ(hit.topk.hits[h].entity, computed.topk.hits[h].entity);
-    EXPECT_EQ(std::memcmp(&hit.topk.hits[h].distance,
-                          &computed.topk.hits[h].distance, sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(&hit.topk.hits[h].probability,
-                          &computed.topk.hits[h].probability, sizeof(double)),
-              0);
-  }
-  EXPECT_EQ(hit.meta.generation, computed.meta.generation);
+  // The first request computes (and cracks); its own crack retires
+  // nothing, so the second is a hit.
+  query::ServerResponse computed = srv->Execute(RequestFor(0));
+  query::ServerResponse hit = srv->Execute(RequestFor(0));
+  ASSERT_TRUE(computed.ok());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_FALSE(computed.meta.cache_hit);
+  ASSERT_TRUE(hit.meta.cache_hit);
+  ExpectBitIdentical(hit.topk, computed.topk);
+  EXPECT_EQ(hit.meta.data_version, computed.meta.data_version);
   EXPECT_TRUE(hit.topk.quality.exact);
 }
 
-TEST_F(ServerTest, NoCacheEntrySurvivesGenerationBump) {
+TEST_F(ServerTest, CrackDoesNotRetireCachedAnswer) {
   ServerConfig config;
   config.shards = 1;
-  auto srv = MakeServer(config);
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  auto srv = MakeServer(config, vkg);
 
   // Cache slot 0's answer, then run other queries until one of them
-  // cracks the (single) shard tree past that entry's stamp.
+  // cracks the shared tree past the version slot 0 was computed on.
+  query::ServerResponse computed = srv->Execute(RequestFor(0));
+  ASSERT_TRUE(computed.ok());
+  ASSERT_FALSE(computed.meta.cache_hit);
+  const uint64_t generation = vkg->rtree().crack_generation();
+  bool cracked = false;
+  for (size_t i = 1; i < workload_->size() && !cracked; ++i) {
+    if (i % 5 == 4) continue;  // top-k only: keep the mix simple
+    ASSERT_TRUE(srv->Execute(RequestFor(i)).ok());
+    cracked = vkg->rtree().crack_generation() != generation;
+  }
+  ASSERT_TRUE(cracked) << "no later request cracked the facade's tree";
+
+  // The data did not change, so the entry is still the answer.
+  query::ServerResponse hit = srv->Execute(RequestFor(0));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.meta.cache_hit) << "a crack retired a valid answer";
+  ExpectBitIdentical(hit.topk, computed.topk);
+  EXPECT_EQ(srv->Stats().cache_invalidated, 0u);
+}
+
+TEST_F(ServerTest, EmbeddingUpdateRetiresCachedAnswer) {
+  ServerConfig config;
+  config.shards = 1;
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  auto srv = MakeServer(config, vkg);
+  ASSERT_TRUE(srv->Execute(RequestFor(0)).ok());
+  srv->Drain();
+  const uint64_t invalidated = srv->Stats().cache_invalidated;
+  const uint64_t version = vkg->data_version();
+
+  const kg::EntityId moved = MoveFarthestOntoQuery(*vkg, (*workload_)[0]);
+  EXPECT_GT(vkg->data_version(), version);
+
+  query::ServerResponse r = srv->Execute(RequestFor(0));
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_FALSE(r.meta.cache_hit) << "served an answer older than the data";
+  EXPECT_EQ(srv->Stats().cache_invalidated, invalidated + 1);
+  EXPECT_EQ(r.meta.data_version, vkg->data_version());
+  ASSERT_FALSE(r.topk.hits.empty());
+  EXPECT_EQ(r.topk.hits[0].entity, moved);
+}
+
+TEST_F(ServerTest, NewFactRetiresCachedAnswer) {
+  // A private copy of the graph: the new fact must not leak into the
+  // other tests' shared dataset.
+  kg::KnowledgeGraph graph = ds_->graph;
+  ServerConfig config;
+  config.shards = 1;
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg(&graph);
+  auto srv = MakeServer(config, vkg);
   query::ServerResponse first = srv->Execute(RequestFor(0));
   ASSERT_TRUE(first.ok());
-  const uint64_t stamped = first.meta.generation;
-  bool bumped = false;
-  for (size_t i = 1; i < workload_->size() && !bumped; ++i) {
-    if (i % 5 == 4) continue;  // top-k only: aggregates also crack, but
-                               // keep the mix simple
-    srv->Execute(RequestFor(i));
-    bumped = srv->ShardGeneration(0) != stamped;
-  }
-  ASSERT_TRUE(bumped) << "no later query cracked the fresh tree";
+  ASSERT_FALSE(first.topk.hits.empty());
+  srv->Drain();
+  const uint64_t invalidated = srv->Stats().cache_invalidated;
 
-  // The entry stamped at `stamped` must not be served: the lookup either
-  // misses (the eager sweep removed it) or detects the stale stamp and
-  // recomputes. Either way the response carries the current generation.
-  query::ServerResponse second = srv->Execute(RequestFor(0));
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.meta.cache_hit)
-      << "served a cache entry across a generation bump";
-  EXPECT_EQ(second.meta.generation, srv->ShardGeneration(0));
-  ServerStats stats = srv->Stats();
-  EXPECT_GE(stats.cache_invalidated, 1u)
-      << "generation bump invalidated nothing";
+  // Make the top predicted edge a known fact: a query over E' must no
+  // longer return it.
+  const data::Query& q = (*workload_)[0];
+  const kg::EntityId top = first.topk.hits[0].entity;
+  if (q.direction == kg::Direction::kTail) {
+    ASSERT_TRUE(graph.AddEdge(q.anchor, q.relation, top));
+  } else {
+    ASSERT_TRUE(graph.AddEdge(top, q.relation, q.anchor));
+  }
+
+  query::ServerResponse r = srv->Execute(RequestFor(0));
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_FALSE(r.meta.cache_hit) << "served an answer older than the data";
+  EXPECT_EQ(srv->Stats().cache_invalidated, invalidated + 1);
+  for (const query::TopKHit& hit : r.topk.hits) {
+    EXPECT_NE(hit.entity, top) << "returned an edge that is now in E";
+  }
+}
+
+TEST_F(ServerTest, ServerSeesPendingEmbeddingUpdates) {
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  const data::Query& q = (*workload_)[0];
+  const kg::EntityId moved = MoveFarthestOntoQuery(*vkg, q);
+  ASSERT_EQ(vkg->pending_updates(), 1u);
+
+  ServerConfig config;
+  config.shards = 2;
+  auto srv = MakeServer(config, vkg);
+  // Crack the index around every workload query first: on an uncracked
+  // tree a query's seed element is the whole point set, and re-ranking
+  // every entity would find the moved one without the overlay.
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    ASSERT_TRUE(srv->Execute(RequestFor(i, /*bypass=*/true)).ok());
+  }
+  query::ServerResponse r = srv->Execute(RequestFor(0, /*bypass=*/true));
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  const query::TopKResult want = vkg->TopK(q, 10);
+  ASSERT_EQ(r.topk.hits.size(), want.hits.size());
+  for (size_t h = 0; h < want.hits.size(); ++h) {
+    EXPECT_EQ(r.topk.hits[h].entity, want.hits[h].entity) << "hit " << h;
+    EXPECT_NEAR(r.topk.hits[h].distance, want.hits[h].distance, 1e-9)
+        << "hit " << h;
+  }
+  ASSERT_FALSE(r.topk.hits.empty());
+  EXPECT_EQ(r.topk.hits[0].entity, moved);
+}
+
+TEST_F(ServerTest, ServerCracksTheFacadeIndex) {
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  const size_t nodes_before = vkg->IndexStats().num_nodes;
+  ServerConfig config;
+  config.shards = 2;
+  auto srv = MakeServer(config, vkg);
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    ASSERT_TRUE(srv->Execute(RequestFor(i)).ok()) << "slot " << i;
+  }
+  srv->Drain();
+  const uint64_t generation = vkg->rtree().crack_generation();
+  EXPECT_GT(generation, 0u) << "shards cracked some other tree";
+  EXPECT_GT(vkg->IndexStats().num_nodes, nodes_before);
+  for (const auto& shard : srv->Stats().shards) {
+    EXPECT_EQ(shard.generation, generation) << "shard " << shard.shard;
+  }
 }
 
 TEST_F(ServerTest, CacheDisabledNeverHits) {
@@ -646,7 +778,16 @@ TEST_F(ServerTest, PublishStatsExportsShardGauges) {
   const std::string prom =
       obs::MetricsRegistry::Global().PrometheusText();
   EXPECT_NE(prom.find("vkg_server_shards 2"), std::string::npos);
-  EXPECT_NE(prom.find("vkg_server_shard_0_generation"), std::string::npos);
+  // One index and one data version for the whole server, not one
+  // generation per shard.
+  EXPECT_NE(prom.find("vkg_server_index_generation " +
+                      std::to_string(srv->vkg().rtree().crack_generation()) +
+                      "\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("vkg_server_data_version " +
+                      std::to_string(srv->vkg().data_version()) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("vkg_server_shard_0_generation"), std::string::npos);
   EXPECT_NE(prom.find("vkg_server_shard_1_cache_entries"),
             std::string::npos);
   EXPECT_NE(prom.find("vkg_server_requests_total"), std::string::npos);

@@ -79,16 +79,6 @@ TEST(LruCacheTest, UpdateReplacesValueAndCost) {
   EXPECT_EQ(cache.stats().updates, 1u);
 }
 
-TEST(LruCacheTest, EraseIfRemovesMatchesWithoutCountingEvictions) {
-  LruCache<int, int> cache(10, 0);
-  for (int i = 0; i < 6; ++i) cache.Put(i, i, 1);
-  size_t removed = cache.EraseIf(
-      [](const int& k, const int&) { return k % 2 == 0; });
-  EXPECT_EQ(removed, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // LruCache vs. brute-force model
 // ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ a regression to blocking reads flattens that curve long before it
 trips the 3x throughput gate. When "scaling_valid" is false (e.g. a
 1-CPU CI host) the check is skipped and logged, never failed.
 
+The ratio gates compare like with like only: when a result document's
+"scale_factor" or "num_entities" context differs from its baseline's,
+the file reports one failure naming the mismatch instead of a ratio
+failure per record (the absolute, scaling and speedup gates on the new
+document still run). Regenerate the result at the baseline's config,
+or refresh the baseline.
+
 Usage:
     tools/bench_check.py [--baseline-dir bench/baselines]
                          [--results-dir .] [result.json ...]
@@ -108,6 +115,11 @@ ABSOLUTE_MAX = {
 SPEEDUP_MIN = {
     ("micro_distance_kernels", "dispatched_over_portable"): 1.05,
 }
+
+# Context keys that must match between a result and its baseline for
+# the per-record ratio gates to mean anything: a full-scale run is many
+# times slower than a smoke-scale baseline without any regression.
+COMPARABLE_CONTEXT = ("scale_factor", "num_entities")
 
 
 def fail_line(name, measured, relation, threshold, unit, context=""):
@@ -223,14 +235,40 @@ def check_speedup(doc):
     return failures, checked, skipped
 
 
+def context_mismatch(new_doc, base_doc):
+    """One fail_line when the documents ran at different configs, else None.
+
+    Compares the COMPARABLE_CONTEXT keys; a key present on one side only
+    counts as a mismatch.
+    """
+    new_ctx = new_doc.get("context", {})
+    base_ctx = base_doc.get("context", {})
+    differing = [key for key in COMPARABLE_CONTEXT
+                 if new_ctx.get(key) != base_ctx.get(key)]
+    if not differing:
+        return None
+    key = differing[0]
+    detail = ", ".join(f"{k} {new_ctx.get(k)} vs baseline {base_ctx.get(k)}"
+                       for k in differing)
+    return fail_line(key, float(new_ctx.get(key) or 0.0), "==",
+                     float(base_ctx.get(key) or 0.0), "",
+                     context=f"context mismatch: {detail}; "
+                             "ratio gates not compared")
+
+
 def check_file(result_path, baseline_path):
     """Returns (failures, checked, skipped) for one bench file."""
     new_doc = load_doc(result_path)
     new = records(new_doc)
-    base = records(load_doc(baseline_path))
+    base_doc = load_doc(baseline_path)
+    base = records(base_doc)
     failures = []
     checked = 0
     skipped = 0
+    mismatch = context_mismatch(new_doc, base_doc)
+    if mismatch is not None:
+        failures.append(mismatch)
+        base = {}  # ratios across configs are meaningless
     for name, (base_value, base_unit) in sorted(base.items()):
         if name not in new:
             print(f"  [warn] {name}: missing from new results")
@@ -265,8 +303,9 @@ def check_file(result_path, baseline_path):
                             f"gate /{RATIO}"))
         else:
             skipped += 1  # informational unit (count, pct, ...)
-    for name in sorted(set(new) - set(base)):
-        print(f"  [info] {name}: no baseline (new record)")
+    if mismatch is None:
+        for name in sorted(set(new) - set(base)):
+            print(f"  [info] {name}: no baseline (new record)")
     scaling_failures, scaling_checked, scaling_skipped = check_scaling(
         new_doc)
     failures.extend(scaling_failures)

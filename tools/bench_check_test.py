@@ -354,6 +354,31 @@ class CheckFileTest(unittest.TestCase):
         self.assertEqual(failures, [])
         self.assertEqual(checked, 3)
 
+    def test_context_mismatch_is_one_failure_not_n_ratio_failures(self):
+        def timed(scale, entities, value):
+            payload = doc([{"name": f"kernel_{i}_ms", "value": value,
+                            "unit": "ms"} for i in range(8)])
+            payload["context"] = {"scale_factor": scale,
+                                  "num_entities": entities}
+            return payload
+        base = self.write("BENCH_base.json", timed(0.1, 10000, 10.0))
+        new = self.write("BENCH_new.json", timed(1.0, 100000, 300.0))
+        failures, checked, _ = bench_check.check_file(new, base)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("scale_factor: measured 1.000", failures[0])
+        self.assertIn("num_entities 100000 vs baseline 10000", failures[0])
+        self.assertEqual(checked, 0)
+        # A key missing on one side is a mismatch too.
+        bare = doc([{"name": "kernel_0_ms", "value": 10.0, "unit": "ms"}])
+        failures, _, _ = bench_check.check_file(
+            self.write("BENCH_bare.json", bare), base)
+        self.assertEqual(len(failures), 1)
+        # The same config compares record by record as before.
+        same = self.write("BENCH_same.json", timed(0.1, 10000, 11.0))
+        failures, checked, _ = bench_check.check_file(same, base)
+        self.assertEqual(failures, [])
+        self.assertEqual(checked, 8)
+
 
 if __name__ == "__main__":
     unittest.main()
